@@ -83,22 +83,19 @@ def svm_train(X, y, lambda_: float = 1e-4, epochs: int = 30, seed: int = 42,
                        feature_layout=feature_layout, objective_history=history)
 
 
-def _standardize(model: LinearModel, x: np.ndarray) -> np.ndarray:
-    if x.shape[-1] != model.weights.shape[0]:
+def svm_score_many(model: LinearModel, X) -> np.ndarray:
+    """Signed margins of the feature vectors in the rows of X."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.shape[-1] != model.weights.shape[0]:
         raise ValueError(
-            f"feature dimension {x.shape[-1]} does not match model ({model.weights.shape[0]})")
-    return (x - model.feat_mean) / model.feat_std
+            f"feature dimension {X.shape[-1]} does not match model ({model.weights.shape[0]})")
+    Z = (X - model.feat_mean) / model.feat_std
+    return Z @ model.weights + model.bias
 
 
 def svm_score(model: LinearModel, x) -> float:
     """Signed margin of one feature vector."""
-    z = _standardize(model, np.asarray(x, dtype=np.float64))
-    return float(z @ model.weights + model.bias)
-
-
-def svm_score_many(model: LinearModel, X) -> np.ndarray:
-    Z = _standardize(model, np.asarray(X, dtype=np.float64))
-    return Z @ model.weights + model.bias
+    return float(svm_score_many(model, [x])[0])
 
 
 def svm_predict(model: LinearModel, x) -> int:

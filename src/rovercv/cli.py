@@ -34,7 +34,7 @@ from .mapping import (
     map_to_bytes,
 )
 from .raster import Raster, load_pnm, write_pnm
-from .segmentation import SegmentConfig, segment_floor
+from .segmentation import LabelMask, SegmentConfig, segment_floor
 from .steering import AngleSeries, bin_angle, smooth_series
 
 
@@ -70,18 +70,17 @@ def _nonneg_int(text):
     return value
 
 
-_CONFIG_KEYS = {
-    "seed", "edge_threshold", "blur_passes", "method", "k", "horizon_frac",
-    "top_width_frac", "min_votes", "hist_bins", "spatial_px", "hog_cell",
-    "hog_bins", "hog_block_cells", "hog_per_channel", "lam", "epochs",
-    "min_score", "frame_memory", "bands", "cell_cm", "patch_width_cm",
-    "patch_depth_cm", "patch_offset_cm", "min_known", "localize_min_score", "min_overlap_frac",
-    "bin_width", "distance_cm", "length_cm",
-}
-
-
 def _build_parser(defaults: dict) -> argparse.ArgumentParser:
-    d = defaults.get
+    """The argument parser, with ``defaults`` (the --config values) as option defaults.
+
+    The config keys accepted are exactly those looked up here through ``d``;
+    any other key raises UsageError.
+    """
+    read = set()
+
+    def d(key, fallback=None):
+        read.add(key)
+        return defaults.get(key, fallback)
 
     parser = argparse.ArgumentParser(prog="rovercv",
                                      description="Classical perception toolkit for "
@@ -152,7 +151,7 @@ def _build_parser(defaults: dict) -> argparse.ArgumentParser:
     p.add_argument("--frame-memory", type=_positive_int, default=d("frame_memory", 1))
     p.add_argument("--annotate", action="store_true")
     p.add_argument("--out-dir", default="detections")
-    p.set_defaults(handler=_cmd_detect)
+    p.set_defaults(handler=_cmd_detect, bands=d("bands"))
 
     p = sub.add_parser("map-build", help="build an occupancy map from a replay script")
     p.add_argument("replay_jsonl", help="JSON lines: {frame, forward_cm, rotate_deg}")
@@ -185,6 +184,9 @@ def _build_parser(defaults: dict) -> argparse.ArgumentParser:
     p.add_argument("--out", default="smoothed.csv")
     p.set_defaults(handler=_cmd_smooth)
 
+    unknown = sorted(set(defaults) - read)
+    if unknown:
+        raise UsageError(f"unknown keys {unknown}")
     return parser
 
 
@@ -199,8 +201,6 @@ def _cmd_calibrate(args) -> dict:
 
 
 def _load_markers(path, shape):
-    from .segmentation import LabelMask
-
     seeds = load_pnm(path)
     if seeds.channels != 1 or seeds.pixels.shape != shape:
         raise ValueError("marker image must be P5 with the same dimensions as the input")
@@ -322,7 +322,7 @@ def _cmd_detect(args) -> dict:
     if any(f.width != w or f.height != h for f in frames):
         raise ValueError("all frames must share one size")
     model = model_from_dict(json.loads(Path(args.model_json).read_text()))
-    bands = _bands_from_config(args.bands) if getattr(args, "bands", None) else DEFAULT_BANDS
+    bands = _bands_from_config(args.bands) if args.bands else DEFAULT_BANDS
     try:
         plan = plan_windows(w, h, bands)
     except ValueError as exc:
@@ -408,20 +408,15 @@ def run(argv=None) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
-        if not isinstance(defaults, dict) or not set(defaults) <= _CONFIG_KEYS:
-            bad = sorted(set(defaults) - _CONFIG_KEYS) if isinstance(defaults, dict) else defaults
-            print(f"config error: unknown keys {bad}", file=sys.stderr)
+        if not isinstance(defaults, dict):
+            print("config error: expected a JSON object", file=sys.stderr)
             return 2
 
-    parser = _build_parser(defaults)
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser(defaults).parse_args(argv)
+        outputs = args.handler(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    args.bands = defaults.get("bands")
-
-    try:
-        outputs = args.handler(args)
     except UsageError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classifier import LinearModel, svm_score_many
-from .features import FeatureConfig, color_histogram, hog_block_grid, spatial_features
+from .features import FeatureConfig, color_histogram, hog_block_grid, hog_planes, spatial_features
 from .geometry import label_components
-from .raster import Raster, resize_bilinear, to_grayscale
+from .raster import Raster, resize_bilinear
 
 # sigma per box chosen so the half-maximum contour of one splat spans exactly
 # the box extent; threshold_boxes(heatmap_fuse([box])) then returns the box.
@@ -117,13 +117,21 @@ def iter_windows(plan: WindowPlan):
 
 
 def _scaled_band(frame: Raster, band: BandConfig, nx: int, ny: int, canonical: int):
-    """Rescale one band crop so its window size becomes the canonical patch size."""
+    """Rescale one band crop so its window size becomes the canonical patch size,
+    then trim it to the area its windows cover.
+
+    That area is whole cells (strides and the canonical size are cell multiples)
+    where the rescaled band need not be: a 96 px window on a 1280 px frame gives
+    853 px. Trimming changes no window's features; cells never look outside.
+    """
     crop = frame.pixels[band.y_top:band.y_bottom]
     h_band = band.y_bottom - band.y_top
     ss = band.stride_px * canonical // band.window_px
-    ws = max(int(round(frame.width * canonical / band.window_px)), (nx - 1) * ss + canonical)
-    hs = max(int(round(h_band * canonical / band.window_px)), (ny - 1) * ss + canonical)
-    return resize_bilinear(Raster(crop), ws, hs), ss
+    cover_w, cover_h = (nx - 1) * ss + canonical, (ny - 1) * ss + canonical
+    ws = max(int(round(frame.width * canonical / band.window_px)), cover_w)
+    hs = max(int(round(h_band * canonical / band.window_px)), cover_h)
+    scaled = resize_bilinear(Raster(crop), ws, hs).pixels
+    return Raster(scaled[:cover_h, :cover_w]), ss
 
 
 def iter_window_features(frame: Raster, plan: WindowPlan, cfg: DetectorConfig = DetectorConfig()):
@@ -143,24 +151,15 @@ def iter_window_features(frame: Raster, plan: WindowPlan, cfg: DetectorConfig = 
 
     for b, (band, (nx, ny)) in enumerate(zip(plan.bands, plan.counts)):
         scaled, ss = _scaled_band(frame, band, nx, ny, canonical)
-        if p.per_channel:
-            planes = [scaled.pixels[..., c].astype(np.float64) for c in range(3)]
-        else:
-            planes = [to_grayscale(scaled).pixels.astype(np.float64)]
-        block_grids = [hog_block_grid(plane, p) for plane in planes]
+        grids = [hog_block_grid(plane, p) for plane in hog_planes(scaled, p)]
         for i in range(ny):
             for j in range(nx):
                 ys, xs = i * ss, j * ss
                 cy, cx = ys // cell, xs // cell
-                hog_part = np.concatenate([
-                    g[cy:cy + win_blocks, cx:cx + win_blocks].reshape(-1) for g in block_grids
-                ])
+                hog_part = [g[cy:cy + win_blocks, cx:cx + win_blocks].reshape(-1) for g in grids]
                 window = Raster(scaled.pixels[ys:ys + canonical, xs:xs + canonical])
-                fv = np.concatenate([
-                    hog_part,
-                    color_histogram(window, fc.hist_bins),
-                    spatial_features(window, fc.spatial_px),
-                ])
+                fv = np.concatenate(hog_part + [color_histogram(window, fc.hist_bins),
+                                                spatial_features(window, fc.spatial_px)])
                 yield (b, j * band.stride_px, band.y_top + i * band.stride_px), fv
 
 
@@ -225,8 +224,7 @@ def threshold_boxes(heatmap: Heatmap) -> list:
 
 def detect_and_fuse(frame: Raster, model: LinearModel, plan: WindowPlan,
                     cfg: DetectorConfig = DetectorConfig()) -> list:
-    dets = detect_cars(frame, model, plan, cfg)
-    return threshold_boxes(heatmap_fuse(dets, frame.width, frame.height))
+    return detect_sequence([frame], model, plan, cfg)[0]
 
 
 def detect_sequence(frames, model: LinearModel, plan: WindowPlan,

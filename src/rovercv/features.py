@@ -113,6 +113,13 @@ def hog_block_grid(arr: np.ndarray, p: HogParams) -> np.ndarray:
     return n2 / np.sqrt((n2 ** 2).sum(axis=-1, keepdims=True) + HOG_EPS ** 2)
 
 
+def hog_planes(img: Raster, p: HogParams) -> list:
+    """The float64 planes HOG runs on: R, G and B when ``p.per_channel``, else the luma."""
+    if p.per_channel:
+        return [img.pixels[..., c].astype(np.float64) for c in range(3)]
+    return [to_grayscale(img).pixels.astype(np.float64)]
+
+
 def hog(patch: Raster, p: HogParams = HogParams()) -> np.ndarray:
     """Oriented-gradient descriptor of a grayscale patch, blocks concatenated row-major."""
     if patch.channels != 1:
@@ -163,16 +170,7 @@ def extract_features(patch: Raster, cfg: FeatureConfig = FeatureConfig()) -> Fea
     if patch.width != cfg.patch_px or patch.height != cfg.patch_px:
         raise ValueError(
             f"expected a {cfg.patch_px}x{cfg.patch_px} patch, got {patch.width}x{patch.height}")
-    if cfg.hog.per_channel:
-        hog_part = np.concatenate([
-            hog_block_grid(patch.pixels[..., c].astype(np.float64), cfg.hog).reshape(-1)
-            for c in range(3)
-        ])
-    else:
-        hog_part = hog(to_grayscale(patch), cfg.hog)
-    values = np.concatenate([
-        hog_part,
-        color_histogram(patch, cfg.hist_bins),
-        spatial_features(patch, cfg.spatial_px),
-    ])
+    hog_part = [hog_block_grid(plane, cfg.hog).reshape(-1) for plane in hog_planes(patch, cfg.hog)]
+    values = np.concatenate(hog_part + [color_histogram(patch, cfg.hist_bins),
+                                        spatial_features(patch, cfg.spatial_px)])
     return FeatureVector(values=values, layout=feature_layout(cfg))

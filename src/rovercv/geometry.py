@@ -7,14 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import (
-    GAUSSIAN_3x3,
-    Raster,
-    convolve3,
-    sobel_magnitude,
-    threshold_binary,
-    to_grayscale,
-)
+from .raster import Raster, blurred_gray, sobel_magnitude, threshold_binary
 
 _N4 = ((-1, 0), (1, 0), (0, -1), (0, 1))
 _N8 = _N4 + ((-1, -1), (-1, 1), (1, -1), (1, 1))
@@ -181,8 +174,11 @@ def find_contours(mask: Raster) -> list:
     """One contour per 8-connected foreground component, sorted by area descending."""
     if mask.channels != 1:
         raise ValueError("expected a grayscale raster")
-    fg = mask.pixels > 0
-    labels, n = label_components(fg, connectivity=8)
+    return _contours(*label_components(mask.pixels > 0, connectivity=8))
+
+
+def _contours(labels: np.ndarray, n: int) -> list:
+    """One contour per component of a labeling, sorted by area descending."""
     contours = []
     for cid in range(n):
         comp = labels == cid
@@ -203,28 +199,14 @@ def find_contours(mask: Raster) -> list:
 
 
 def _enclosed_area(comp: np.ndarray) -> int:
-    """Pixels enclosed by a component within its bbox (the component plus its holes)."""
-    h, w = comp.shape
-    outside = np.zeros((h, w), dtype=bool)
-    queue = deque()
-    for y in range(h):
-        for x in (0, w - 1):
-            if not comp[y, x] and not outside[y, x]:
-                outside[y, x] = True
-                queue.append((y, x))
-    for x in range(w):
-        for y in (0, h - 1):
-            if not comp[y, x] and not outside[y, x]:
-                outside[y, x] = True
-                queue.append((y, x))
-    while queue:
-        y, x = queue.popleft()
-        for dy, dx in _N4:
-            ny, nx = y + dy, x + dx
-            if 0 <= ny < h and 0 <= nx < w and not comp[ny, nx] and not outside[ny, nx]:
-                outside[ny, nx] = True
-                queue.append((ny, nx))
-    return int(h * w - outside.sum())
+    """Pixels enclosed by a component within its bbox (the component plus its holes).
+
+    Holes are the 4-connected background components that touch no bbox edge.
+    """
+    labels, _ = label_components(~comp, connectivity=4)
+    edge = np.concatenate((labels[0], labels[-1], labels[:, 0], labels[:, -1]))
+    outside = np.isin(labels, edge[edge >= 0])
+    return int(comp.size - outside.sum())
 
 
 def largest_rectangle(img: Raster, edge_threshold: int = 60, min_fill: float = 0.85,
@@ -236,15 +218,10 @@ def largest_rectangle(img: Raster, edge_threshold: int = 60, min_fill: float = 0
     off by default: the calibration shot is high contrast, and blur widens the
     edge band, biasing the measured pixel extent.
     """
-    gray = to_grayscale(img) if img.channels == 3 else img
-    for _ in range(blur_passes):
-        gray = convolve3(gray, GAUSSIAN_3x3)
-    edges = threshold_binary(sobel_magnitude(gray), edge_threshold)
-    contours = find_contours(edges)
-
-    labels, _ = label_components(edges.pixels > 0, connectivity=8)
+    edges = threshold_binary(sobel_magnitude(blurred_gray(img, blur_passes)), edge_threshold)
+    labels, n = label_components(edges.pixels > 0, connectivity=8)
     ranked = []
-    for c in contours:
+    for c in _contours(labels, n):
         x, y, w, h = c.bbox
         comp = labels[y:y + h, x:x + w] == labels[c.pixels[0, 1], c.pixels[0, 0]]
         ranked.append((_enclosed_area(comp), c))
@@ -257,10 +234,8 @@ def largest_rectangle(img: Raster, edge_threshold: int = 60, min_fill: float = 0
 
 
 def _lane_edges(frame: Raster, cfg: LaneConfig):
-    gray = to_grayscale(frame) if frame.channels == 3 else frame
-    for _ in range(cfg.blur_passes):
-        gray = convolve3(gray, GAUSSIAN_3x3)
-    edges = threshold_binary(sobel_magnitude(gray), cfg.edge_threshold)
+    edges = threshold_binary(sobel_magnitude(blurred_gray(frame, cfg.blur_passes)),
+                             cfg.edge_threshold)
     h, w = edges.pixels.shape
     horizon_y = int(round(cfg.horizon_frac * (h - 1)))
     cx = (w - 1) / 2.0

@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .geometry import hough_lines
 from .raster import Raster, read_pnm, write_pnm
 from .segmentation import LabelMask, SegmentConfig, segment_floor
 
@@ -231,8 +232,6 @@ class LocalizeResult:
 
 
 def _wall_angles(m: OccupancyMap, cfg: LocalizeConfig) -> list:
-    from .geometry import hough_lines
-
     occ = m.grid == OCCUPIED
     if not occ.any():
         return []

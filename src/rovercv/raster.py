@@ -20,11 +20,17 @@ class Raster:
     pixels: np.ndarray
 
     def __post_init__(self):
-        px = np.asarray(self.pixels, dtype=np.uint8)
+        px = np.asarray(self.pixels)
         if not (px.ndim == 2 or (px.ndim == 3 and px.shape[2] == 3)):
             raise ValueError("raster pixels must have shape (h, w) or (h, w, 3)")
         if px.shape[0] < 1 or px.shape[1] < 1:
             raise ValueError("raster must be at least 1x1")
+        # uint8 input is in range by construction; skipping the scan keeps the
+        # per-window rasters of the detector cheap
+        if px.dtype != np.uint8:
+            if not (px.min() >= 0 and px.max() <= 255):
+                raise ValueError("raster pixel values must lie in 0..255")
+            px = px.astype(np.uint8)
         object.__setattr__(self, "pixels", px)
 
     @property
@@ -94,6 +100,14 @@ def convolve3(img: Raster, kernel: Kernel3) -> Raster:
     _require_gray(img)
     acc = _correlate3(img.pixels.astype(np.float64), kernel.weights) / kernel.divisor
     return Raster(np.clip(np.rint(acc), 0, 255).astype(np.uint8))
+
+
+def blurred_gray(img: Raster, passes: int) -> Raster:
+    """Grayscale view of ``img`` (luma for RGB) after ``passes`` 3x3 Gaussian blurs."""
+    gray = to_grayscale(img) if img.channels == 3 else img
+    for _ in range(passes):
+        gray = convolve3(gray, GAUSSIAN_3x3)
+    return gray
 
 
 def sobel_magnitude(img: Raster) -> Raster:

@@ -8,7 +8,8 @@ from itertools import count
 
 import numpy as np
 
-from .raster import GAUSSIAN_3x3, Raster, convolve3, sobel_magnitude, to_grayscale
+from .geometry import _N4, label_components
+from .raster import Raster, blurred_gray, sobel_magnitude
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,9 +142,6 @@ def kmeans_segment(img: Raster, k: int, max_iter: int = 100, tol: float = 1e-4) 
     return LabelMask(labels.reshape(img.height, img.width), num_labels=k)
 
 
-_N4 = ((-1, 0), (1, 0), (0, -1), (0, 1))
-
-
 def watershed_segment(img: Raster, markers: LabelMask) -> WatershedResult:
     """Priority-flood the image treated as terrain height, starting from marker seeds.
 
@@ -220,8 +218,6 @@ def _derive_markers(gray: Raster, dist_frac: float):
     came from (0 = below threshold, 1 = at/above), so basins can be folded back
     into the two classes after flooding.
     """
-    from .geometry import label_components
-
     t = otsu_threshold(gray).threshold
     fg = gray.pixels >= t
     seeds = np.zeros(gray.pixels.shape, dtype=np.int32)
@@ -247,9 +243,7 @@ def segment_floor(img: Raster, method: str, cfg: SegmentConfig = SegmentConfig()
     since that is where the robot stands. Watershed seeds may be supplied;
     otherwise they are derived from the cores of the Otsu split.
     """
-    gray = to_grayscale(img) if img.channels == 3 else img
-    for _ in range(cfg.blur_passes):
-        gray = convolve3(gray, GAUSSIAN_3x3)
+    gray = blurred_gray(img, cfg.blur_passes)
 
     if method == "otsu":
         t = otsu_threshold(gray).threshold

@@ -4,6 +4,8 @@ Everything here is written as plainly as possible (literal loops, direct
 formulas, dense solvers) and deliberately shares no code with the package.
 """
 
+from collections import deque
+
 import numpy as np
 
 
@@ -137,3 +139,26 @@ def line_residual(rho_a, theta_a, rho_b, theta_b):
     cands = [(rho_b, theta_b), (-rho_b, theta_b - 180.0), (-rho_b, theta_b + 180.0)]
     best = min(cands, key=lambda rt: abs(theta_a - rt[1]))
     return abs(rho_a - best[0]), abs(theta_a - best[1])
+
+
+def flood_enclosed_area(comp):
+    """Pixels of a mask enclosed by it: all minus the background that a
+    4-connected flood from the mask's edges reaches."""
+    comp = np.asarray(comp, dtype=bool)
+    h, w = comp.shape
+    outside = np.zeros((h, w), dtype=bool)
+    queue = deque()
+    for y in range(h):
+        for x in range(w):
+            on_edge = y in (0, h - 1) or x in (0, w - 1)
+            if on_edge and not comp[y, x]:
+                outside[y, x] = True
+                queue.append((y, x))
+    while queue:
+        y, x = queue.popleft()
+        for dy, dx in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+            ny, nx = y + dy, x + dx
+            if 0 <= ny < h and 0 <= nx < w and not comp[ny, nx] and not outside[ny, nx]:
+                outside[ny, nx] = True
+                queue.append((ny, nx))
+    return int(h * w - outside.sum())

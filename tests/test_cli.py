@@ -207,3 +207,33 @@ def test_config_provides_defaults(tmp_path):
                 "--out-mask", str(tmp_path / "mask.pnm"), "--out-json", str(json_path)])
     assert code == 0
     assert json.loads(json_path.read_text())["method"] == "kmeans"
+
+# every key the parser reads from --config, plus the detection bands
+CONFIG_KEYS = {
+    "seed": 7, "distance_cm": 70.0, "length_cm": 20.0, "edge_threshold": 60,
+    "method": "otsu", "k": 2, "blur_passes": 1, "horizon_frac": 0.6, "top_width_frac": 0.2,
+    "min_votes": 30, "hist_bins": 32, "spatial_px": 32, "hog_cell": 8, "hog_bins": 9,
+    "hog_block_cells": 2, "hog_per_channel": False, "lam": 5.0, "epochs": 30,
+    "min_score": 0.0, "frame_memory": 1, "cell_cm": 2.0, "patch_width_cm": 60.0,
+    "patch_depth_cm": 40.0, "patch_offset_cm": 10.0, "min_known": 50,
+    "localize_min_score": 0.6, "min_overlap_frac": 0.5, "bin_width": 0.0,
+    "bands": [{"y_top": 0, "y_bottom": 64, "window_px": 64, "stride_px": 16}],
+}
+
+
+def test_every_parser_key_accepted_from_config(tmp_path):
+    src = tmp_path / "angles.csv"
+    src.write_text("frame_id,angle_deg\nf0,3.0\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(CONFIG_KEYS))
+    out = tmp_path / "smoothed.csv"
+    assert run(["--config", str(cfg), "smooth", str(src), "--out", str(out)]) == 0
+    assert out.read_text() == "frame_id,angle_deg\nf0,3.0\n"
+
+
+@pytest.mark.parametrize("key", ["out", "annotate", "markers"])
+def test_parser_dest_not_read_from_config_rejected(tmp_path, capsys, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"k": 2, key: "x"}))
+    assert run(["--config", str(cfg), "smooth", "whatever.csv"]) == 2
+    assert f"config error: unknown keys ['{key}']" in capsys.readouterr().err

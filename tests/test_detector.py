@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scenes import frame_with_cars, noise_frame, training_set
-from rovercv.classifier import svm_train
+from rovercv.classifier import LinearModel, svm_train
 from rovercv.detector import (
     DEFAULT_BANDS,
     BandConfig,
@@ -22,7 +24,7 @@ from rovercv.detector import (
     threshold_boxes,
     _scaled_band,
 )
-from rovercv.features import extract_features
+from rovercv.features import FeatureConfig, extract_features, feature_length
 from rovercv.raster import Raster
 
 TEST_BANDS = (BandConfig(32, 96, 64, 16), BandConfig(0, 128, 128, 32))
@@ -218,6 +220,35 @@ class TestDetection:
         cfg = DetectorConfig(min_score=0.5, frame_memory=2)
         fused = detect_sequence([with_car, without], car_model, plan, cfg)
         assert fused[0] and fused[1]  # heat from frame 1 persists into frame 2
+
+    def test_default_bands_on_720p_frame(self, car_model):
+        rng = np.random.default_rng(36)
+        plan = plan_windows(1280, 720, DEFAULT_BANDS)
+        frame = noise_frame(rng, w=1280, h=720)
+        dets = detect_cars(frame, car_model, plan, DetectorConfig(min_score=-np.inf))
+        assert len(dets) == plan.total_windows == 697
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.tuples(st.integers(32, 160), st.integers(1, 3), st.integers(0, 48),
+                              st.integers(0, 48)), min_size=1, max_size=2),
+           st.integers(0, 120), st.integers(0, 2**32 - 1))
+    def test_every_accepted_layout_runs(self, specs, extra_w, seed):
+        """Whatever band layout plan_windows accepts, every window gets scored."""
+        bands = []
+        for window, m, y_top, extra_h in specs:
+            # strides that stay 8 px cell multiples in the frame and at the
+            # 64 px scale are the multiples of 8 * window / gcd(window, 64)
+            stride = 8 * m * (window // math.gcd(window, 64))
+            bands.append(BandConfig(y_top, y_top + window + extra_h, window, stride))
+        frame_w = max(b.window_px for b in bands) + extra_w
+        plan = plan_windows(frame_w, max(b.y_bottom for b in bands), bands)
+        rng = np.random.default_rng(seed)
+        model = LinearModel(weights=rng.normal(size=feature_length(FeatureConfig())), bias=0.0,
+                            feat_mean=np.zeros(1), feat_std=np.ones(1),
+                            lambda_=1e-4, epochs=1, seed=0)
+        frame = noise_frame(rng, w=plan.frame_w, h=plan.frame_h)
+        dets = detect_cars(frame, model, plan, DetectorConfig(min_score=-np.inf))
+        assert len(dets) == plan.total_windows
 
     def test_draw_boxes_burns_borders(self):
         frame = Raster(np.zeros((50, 60, 3), dtype=np.uint8))

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import line_residual, segment_line_params
+from oracles import flood_enclosed_area, line_residual, segment_line_params
 from scenes import calibration_scene, rasterize_segment, road_frame
 from rovercv.geometry import (
     LaneConfig,
+    _enclosed_area,
     detect_lane,
     find_contours,
     hough_lines,
@@ -121,6 +124,35 @@ class TestContours:
             assert (c.pixels[:, 0] >= x).all() and (c.pixels[:, 0] < x + w).all()
             assert (c.pixels[:, 1] >= y).all() and (c.pixels[:, 1] < y + h).all()
             assert c.area <= w * h
+
+
+def nested_rings(h, w, step):
+    """Concentric one-pixel rectangle outlines every ``step`` pixels from the edge,
+    so each outline holds the next one inside a hole of its own."""
+    mask = np.zeros((h, w), dtype=bool)
+    for k in range(0, min(h, w) // 2, step):
+        mask[k, k:w - k] = mask[h - 1 - k, k:w - k] = True
+        mask[k:h - k, k] = mask[k:h - k, w - 1 - k] = True
+    return mask
+
+
+class TestEnclosedArea:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 24), st.integers(1, 24), st.sampled_from([0.0, 0.2, 0.5, 0.8]),
+           st.sampled_from([None, 2, 3, 4]), st.integers(0, 2**32 - 1))
+    def test_matches_flood_fill_oracle(self, h, w, density, ring_step, seed):
+        rng = np.random.default_rng(seed)
+        mask = rng.random((h, w)) < density
+        if ring_step is not None:
+            # nested holes; the random pixels open some rings to the border
+            mask = nested_rings(h, w, ring_step) ^ (rng.random((h, w)) < density / 8)
+        assert _enclosed_area(mask) == flood_enclosed_area(mask)
+
+    def test_nested_holes_count_as_enclosed(self):
+        mask = nested_rings(9, 9, 2)
+        assert _enclosed_area(mask) == 81
+        mask[0, 4] = False  # opens the outer ring: its hole joins the outside
+        assert _enclosed_area(mask) == flood_enclosed_area(mask) == 81 - 1 - 24
 
 
 class TestLargestRectangle:

@@ -39,6 +39,13 @@ class TestRasterType:
         with pytest.raises(ValueError):
             Raster(np.zeros((0, 3), dtype=np.uint8))
 
+    def test_out_of_range_values_rejected(self):
+        for bad in ([[300, -1]], [[256.0]], [[-0.5]], [[np.nan]]):
+            with pytest.raises(ValueError, match="0..255"):
+                Raster(np.array(bad))
+        assert (Raster(np.array([[0, 255]])).pixels == [[0, 255]]).all()
+        assert Raster(np.array([[0.0, 255.0]])).pixels.dtype == np.uint8
+
     def test_dimensions(self):
         r = rgb(np.zeros((5, 7, 3)))
         assert (r.width, r.height, r.channels) == (7, 5, 3)
