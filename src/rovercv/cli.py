@@ -6,6 +6,7 @@ configuration error. No output file is written when the exit code is nonzero.
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -424,9 +425,26 @@ def run(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    for path, data in outputs.items():
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(data)
+    return _write_outputs(outputs)
+
+
+def _write_outputs(outputs: dict) -> int:
+    """Write every output to a temporary file beside it, then rename each into
+    place, so an OS error while writing leaves neither outputs nor temporaries."""
+    staged = []
+    try:
+        for path, data in outputs.items():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            staged.append(tmp)
+            tmp.write_bytes(data)
+        for tmp, path in zip(staged, outputs):
+            os.replace(tmp, path)
+    except OSError as exc:
+        for tmp in staged:
+            tmp.unlink(missing_ok=True)
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

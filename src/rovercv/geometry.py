@@ -2,6 +2,7 @@
 detection pipeline.
 """
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 
@@ -56,44 +57,195 @@ class LaneConfig:
     horizontal_margin_deg: float = 10.0
 
 
-def _tls_line(px, py):
-    """Total-least-squares (rho, theta_deg) through a pixel set; exactly
-    horizontal and vertical sets come out with exact parameters."""
-    mx, my = px.mean(), py.mean()
-    dx, dy = px - mx, py - my
-    sxx, syy, sxy = (dx * dx).sum(), (dy * dy).sum(), (dx * dy).sum()
-    if sxy == 0.0 and syy == 0.0:
-        return float(my), 90.0
-    if sxy == 0.0 and sxx == 0.0:
-        return float(mx), 0.0
+def _rho_bins(xs, ys, theta_deg: float, rho_res: float, offs: int):
+    """Accumulator row of every pixel in the theta column at ``theta_deg``.
+
+    Computed in place to save N-sized temporaries; each step rounds exactly
+    as rint((xs*cos + ys*sin) / rho_res) does.
+    """
+    theta = np.deg2rad(theta_deg)
+    rho = xs * np.cos(theta)
+    rho += ys * np.sin(theta)
+    rho /= rho_res
+    bins = np.rint(rho, out=rho).astype(np.int64)
+    bins += offs
+    return bins
+
+
+def _peaks(acc: np.ndarray, min_votes: int):
+    """(rows, columns) of the accumulator cells with at least ``min_votes`` that
+    are 8-neighborhood maxima, ordered by column; equal-valued neighbors resolve
+    in favor of the smaller (theta, rho) cell, and cells off the edges lose."""
+    keep = acc >= min_votes
+    n_r, n_t = acc.shape
+    for dr in (-1, 0, 1):
+        for dt in (-1, 0, 1):
+            if dr == 0 and dt == 0:
+                continue
+            here = (slice(max(0, -dr), n_r - max(0, dr)), slice(max(0, -dt), n_t - max(0, dt)))
+            there = (slice(max(0, dr), n_r + min(0, dr)), slice(max(0, dt), n_t + min(0, dt)))
+            precedes = dt < 0 or (dt == 0 and dr < 0)
+            keep[here] &= (acc[here] > acc[there]) if precedes else (acc[here] >= acc[there])
+    t, r = np.nonzero(keep.T)
+    return r, t
+
+
+@dataclass(frozen=True)
+class _Votes:
+    """The on-pixels (``xy``: float rows x, y) and, per theta column, how many of
+    them vote in each rho bin or below (``ends``: the accumulator summed down
+    its rows). ``diag`` bounds every pixel's distance from the origin."""
+
+    xy: np.ndarray
+    ends: np.ndarray
+    theta_res: float
+    rho_res: float
+    offs: int
+    diag: float
+
+    def order(self, cols, dtype) -> np.ndarray:
+        """Pixel ids of each listed column sorted stably by rho bin, so row-major
+        within a bin: one run of N ids per column, concatenated."""
+        order = np.empty((len(cols), self.xy.shape[1]), dtype=dtype)
+        bin_dtype = np.uint16 if len(self.ends) <= 1 << 16 else np.int64  # uint16 sorts by radix
+        for j, t in enumerate(cols):
+            bins = _rho_bins(*self.xy, t * self.theta_res, self.rho_res, self.offs)
+            order[j] = np.argsort(bins.astype(bin_dtype), kind="stable")
+        return order.ravel()
+
+    def span(self, slot, col, lo, hi):
+        """Positions [begin, end) of the pixels of rho bins lo..hi of column
+        ``col`` in an ``order`` whose run ``slot`` is that column."""
+        base = slot * self.xy.shape[1]
+        return base + np.where(lo > 0, self.ends[lo - 1, col], 0), base + self.ends[hi, col]
+
+
+def _band_spans(votes: _Votes, indexed, seed_col, rho, theta_deg):
+    """Spans of an ``order`` of the ``indexed`` columns holding every pixel within
+    half a pixel of each line.
+
+    Each line is looked up in whichever of its seed column and the two next to
+    it is nearest modulo 180 degrees; across the wrap the column's rho is
+    negated. Between two angles a pixel at distance r from the origin moves by
+    at most r*|dtheta| in rho, so the band lies within 0.5 + R*|dtheta| of the
+    line's rho in that column (R = ``votes.diag`` >= r), plus a slack far
+    above rounding error. Since rint(v) lies in [ceil(v - 0.5), floor(v + 0.5)],
+    the bins of that interval cover the band.
+    """
+    near = (seed_col[:, None] + np.array([-1, 0, 1])) % votes.ends.shape[1]
+    d = theta_deg[:, None] - near * votes.theta_res
+    d = np.where(d > 90.0, d - 180.0, np.where(d < -90.0, d + 180.0, d))
+    k = np.arange(len(near))
+    j = np.argmin(np.abs(d), axis=1)
+    col, dtheta = near[k, j], np.abs(d[k, j])
+    center = np.where(np.abs(theta_deg - col * votes.theta_res) > 90.0, -rho, rho)
+    slack = 0.5 + votes.diag * np.deg2rad(dtheta) + 1e-9 * (1.0 + votes.diag)
+    top = len(votes.ends) - 1
+    lo = np.clip(np.ceil((center - slack) / votes.rho_res - 0.5) + votes.offs, 0, top)
+    hi = np.clip(np.floor((center + slack) / votes.rho_res + 0.5) + votes.offs, 0, top)
+    return votes.span(np.searchsorted(indexed, col), col, lo.astype(np.int64),
+                      hi.astype(np.int64))
+
+
+def _runs(begin, end):
+    """The positions of the concatenated ranges begin[i]:end[i], and the range
+    number of each."""
+    length = end - begin
+    run = np.repeat(np.arange(len(begin)), length)
+    return run, np.arange(len(run)) + np.repeat(begin - (np.cumsum(length) - length), length)
+
+
+def _tls_fit(xy, pix, counts):
+    """Total-least-squares (rho, theta_deg) through each run of ``counts[i]``
+    consecutive pixels of ``pix``; exactly horizontal and vertical runs come out
+    with exact parameters.
+
+    Runs of one length are reduced together as the rows of one C-contiguous
+    array. numpy sums each such row exactly as it sums a lone 1-D array, so
+    every result is bit-identical to fitting that run by itself. A strided
+    view of the same values, or np.add.reduceat, can round differently.
+    """
+    by_len = np.argsort(counts, kind="stable")
+    lengths = counts[by_len]
+    first = (np.cumsum(counts) - counts)[by_len]
+    mean = np.empty((2, len(counts)))
+    sums = np.empty((3, len(counts)))
+    for a, b in itertools.pairwise(np.r_[0, np.flatnonzero(np.diff(lengths)) + 1, len(counts)]):
+        p = xy[:, pix[first[a:b, None] + np.arange(lengths[a])]]
+        mean[:, a:b] = m = np.add.reduce(p, axis=2) / lengths[a]
+        d = p - m[..., None]
+        sums[:, a:b] = np.add.reduce(d[[0, 1, 0]] * d[[0, 1, 1]], axis=2)
+    (mx, my), (sxx, syy, sxy) = mean, sums
     theta_deg = np.degrees(0.5 * np.arctan2(2.0 * sxy, sxx - syy)) + 90.0
     rad = np.deg2rad(theta_deg)
     rho = mx * np.cos(rad) + my * np.sin(rad)
-    if theta_deg >= 180.0:
-        theta_deg -= 180.0
-        rho = -rho
-    return float(rho), float(theta_deg)
+    wrap = theta_deg >= 180.0
+    theta_deg[wrap] -= 180.0
+    rho[wrap] = -rho[wrap]
+    horizontal = (sxy == 0.0) & (syy == 0.0)
+    vertical = (sxy == 0.0) & (sxx == 0.0) & ~horizontal
+    rho[horizontal], theta_deg[horizontal] = my[horizontal], 90.0
+    rho[vertical], theta_deg[vertical] = mx[vertical], 0.0
+    out = np.empty((2, len(counts)))
+    out[:, by_len] = rho, theta_deg
+    return out
 
 
-def _refine_peak(xs, ys, rho_bin: float, theta_bin_deg: float, rho_res: float):
-    """Polish a peak: refit the supporting pixels, recollect the half-pixel band,
-    and repeat a fixed number of rounds.
+def _refine(votes: _Votes, order, indexed, cols, rows, part_px: int, batch_px: int):
+    """(rho, theta_deg, votes) of the peaks at accumulator cells (rows, cols),
+    whose columns and their neighbors are the ``indexed`` runs of ``order``.
 
-    One-degree bins alone leave the rho of far-from-origin lines off by several
-    pixels; the voters of a single bin are also a biased slice of the segment,
-    so the fit and its support are iterated to a (near) fixed point.
+    Every peak goes through the same rounds: a fit to the voters of its cell,
+    three refits to the pixels within half a pixel of the current line, and a
+    count of that band as its votes. A peak whose band comes out empty stops
+    there with 0 votes. Each round runs for all live peaks at once: candidates
+    are gathered and tested in parts of about ``part_px`` pixels, and the bands
+    found are fitted together once they reach ``batch_px`` pixels.
     """
-    theta = np.deg2rad(theta_bin_deg)
-    r = np.rint((xs * np.cos(theta) + ys * np.sin(theta)) / rho_res) * rho_res
-    sel = r == rho_bin
-    rho, theta_deg = _tls_line(xs[sel], ys[sel])
-    for _ in range(3):
-        rad = np.deg2rad(theta_deg)
-        band = np.abs(xs * np.cos(rad) + ys * np.sin(rad) - rho) <= 0.5
-        if not band.any():
+    k = len(rows)
+    rho, theta_deg = np.zeros(k), np.zeros(k)
+    count = np.zeros(k, dtype=np.int64)
+    live = np.ones(k, dtype=bool)
+    xs, ys = votes.xy
+    n = len(xs)
+    for rnd in range(5):
+        ids = np.flatnonzero(live)
+        if len(ids) == 0:
             break
-        rho, theta_deg = _tls_line(xs[band], ys[band])
-    return rho, theta_deg
+        if rnd == 0:
+            begin, end = votes.span(np.searchsorted(indexed, cols), cols, rows, rows)
+        else:
+            begin, end = _band_spans(votes, indexed, cols[ids], rho[ids], theta_deg[ids])
+            rad = np.deg2rad(theta_deg[ids])
+            cos_t, sin_t, rho_t = np.cos(rad), np.sin(rad), rho[ids]
+        length = end - begin
+        part_of = (np.cumsum(length) - length) // part_px
+        parts = np.split(np.arange(len(ids)), np.flatnonzero(np.diff(part_of)) + 1)
+        bands, size = [], 0
+        for i, part in enumerate(parts):
+            run, pos = _runs(begin[part], end[part])
+            pix = order[pos]
+            del pos
+            if rnd:  # keep each band in row-major order, as a scan of all pixels has it
+                at = run + part[0]
+                dist = xs[pix] * cos_t[at]
+                dist += ys[pix] * sin_t[at]
+                dist -= rho_t[at]
+                near = np.abs(dist, out=dist) <= 0.5
+                run, pix = np.divmod(np.sort(run[near] * n + pix[near], kind="stable"), n)
+            bands.append((ids[part], np.bincount(run, minlength=len(part)), pix))
+            size += len(pix)
+            if size < batch_px and i + 1 < len(parts):
+                continue
+            got, counts, pix = (np.concatenate(x) for x in zip(*bands))
+            bands, size = [], 0
+            if rnd == 4:
+                count[got] = counts
+                continue
+            live[got[counts == 0]] = False
+            fit = got[counts > 0]
+            rho[fit], theta_deg[fit] = _tls_fit(votes.xy, pix, counts[counts > 0])
+    return rho, theta_deg, count
 
 
 def hough_lines(edges: Raster, rho_res: float = 1.0, theta_res: float = 1.0,
@@ -105,9 +257,21 @@ def hough_lines(edges: Raster, rho_res: float = 1.0, theta_res: float = 1.0,
     least-squares refit of their supporting pixels; votes are then recounted as
     the on-pixels within half a pixel of the refined line. Output is sorted by
     votes descending, then (theta, rho) ascending.
+
+    Voting costs O(N * n_theta) for N on-pixels. Refinement looks each line's
+    pixels up in the theta columns' pixels sorted by rho bin, so it costs
+    O(support) per peak, and all peaks of a block of columns are refined
+    together. Each block's index, its candidate buffers and the accumulator
+    take memory about the accumulator's size plus O(N).
     """
     if edges.channels != 1:
         raise ValueError("expected a grayscale raster")
+    if not (np.isfinite(rho_res) and rho_res > 0):
+        raise ValueError(f"rho_res must be a positive number, got {rho_res!r}")
+    if not 0 < theta_res <= 180:
+        raise ValueError(f"theta_res must lie in (0, 180], got {theta_res!r}")
+    if min_votes < 1:
+        raise ValueError(f"min_votes must be at least 1, got {min_votes!r}")
     ys, xs = np.nonzero(edges.pixels)
     n_theta = int(round(180.0 / theta_res))
     diag = float(np.hypot(edges.width - 1, edges.height - 1))
@@ -115,34 +279,37 @@ def hough_lines(edges: Raster, rho_res: float = 1.0, theta_res: float = 1.0,
     if len(xs) == 0:
         return []
 
-    acc = np.zeros((2 * offs + 1, n_theta), dtype=np.int64)
-    xs_f = xs.astype(np.float64)
-    ys_f = ys.astype(np.float64)
+    n = len(xs)
+    xy = np.empty((2, n))
+    xy[0], xy[1] = xs, ys
+    del xs, ys
+    acc = np.empty((2 * offs + 1, n_theta), dtype=np.int32)
     for ti in range(n_theta):
-        theta = np.deg2rad(ti * theta_res)
-        r = np.rint((xs_f * np.cos(theta) + ys_f * np.sin(theta)) / rho_res).astype(np.int64) + offs
-        acc[:, ti] += np.bincount(r, minlength=2 * offs + 1)
+        acc[:, ti] = np.bincount(_rho_bins(*xy, ti * theta_res, rho_res, offs),
+                                 minlength=2 * offs + 1)
+    rows, cols = _peaks(acc, min_votes)
+    votes = _Votes(xy, np.cumsum(acc, axis=0, out=acc), theta_res, rho_res, offs, diag)
 
-    keep = acc >= min_votes
-    padded = np.full((acc.shape[0] + 2, acc.shape[1] + 2), -1, dtype=np.int64)
-    padded[1:-1, 1:-1] = acc
-    for dr in (-1, 0, 1):
-        for dt in (-1, 0, 1):
-            if dr == 0 and dt == 0:
-                continue
-            nb = padded[1 + dr:padded.shape[0] - 1 + dr, 1 + dt:padded.shape[1] - 1 + dt]
-            precedes = dt < 0 or (dt == 0 and dr < 0)
-            keep &= (acc > nb) if precedes else (acc >= nb)
-
+    order_dtype = np.uint16 if n <= 1 << 16 else np.int32
+    # A block's index takes about as much memory as the accumulator. Parts of
+    # N/2 candidates and fits of up to 8N band pixels keep refinement's buffers
+    # O(N); on lane frames, parts of N candidates left the heap larger.
+    block = max(1, acc.nbytes // (n * np.dtype(order_dtype).itemsize))
     lines = []
-    for r, t in zip(*np.nonzero(keep)):
-        rho, theta_deg = _refine_peak(xs_f, ys_f, float((r - offs) * rho_res),
-                                      float(t * theta_res), rho_res)
-        rad = np.deg2rad(theta_deg)
-        band = np.abs(xs_f * np.cos(rad) + ys_f * np.sin(rad) - rho) <= 0.5
-        votes = int(band.sum())
-        if votes >= min_votes:
-            lines.append(HoughLine(rho=rho, theta_deg=theta_deg, votes=votes))
+    for a in range(0, n_theta, block):
+        lo, hi = np.searchsorted(cols, (a, a + block))
+        if lo == hi:
+            continue
+        # a refined line is looked up in its seed column or a neighbor of it
+        indexed = np.zeros(n_theta, dtype=bool)
+        indexed[np.arange(a - 1, min(a + block, n_theta) + 1) % n_theta] = True
+        indexed = np.flatnonzero(indexed)
+        order = votes.order(indexed, order_dtype)
+        rho, theta_deg, count = _refine(votes, order, indexed, cols[lo:hi], rows[lo:hi],
+                                        part_px=max(1, n // 2), batch_px=8 * n)
+        del order
+        lines += [HoughLine(rho=float(r), theta_deg=float(t), votes=int(v))
+                  for r, t, v in zip(rho, theta_deg, count) if v >= min_votes]
     lines.sort(key=lambda ln: (-ln.votes, ln.theta_deg, ln.rho))
     return lines
 

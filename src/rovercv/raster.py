@@ -30,6 +30,8 @@ class Raster:
         if px.dtype != np.uint8:
             if not (px.min() >= 0 and px.max() <= 255):
                 raise ValueError("raster pixel values must lie in 0..255")
+            if not np.issubdtype(px.dtype, np.integer) and not (px == np.rint(px)).all():
+                raise ValueError("raster pixel values must be whole numbers")
             px = px.astype(np.uint8)
         object.__setattr__(self, "pixels", px)
 

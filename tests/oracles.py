@@ -1,12 +1,15 @@
 """Independent reference implementations used to check the optimized code.
 
 Everything here is written as plainly as possible (literal loops, direct
-formulas, dense solvers) and deliberately shares no code with the package.
+formulas, dense solvers) and deliberately shares no code with the package
+beyond its result types.
 """
 
 from collections import deque
 
 import numpy as np
+
+from rovercv.geometry import HoughLine
 
 
 def brute_otsu(hist):
@@ -162,3 +165,92 @@ def flood_enclosed_area(comp):
                 outside[ny, nx] = True
                 queue.append((ny, nx))
     return int(h * w - outside.sum())
+
+
+def _tls_line(px, py):
+    """Total-least-squares (rho, theta_deg) through a pixel set; exactly
+    horizontal and vertical sets come out with exact parameters."""
+    mx, my = px.mean(), py.mean()
+    dx, dy = px - mx, py - my
+    sxx, syy, sxy = (dx * dx).sum(), (dy * dy).sum(), (dx * dy).sum()
+    if sxy == 0.0 and syy == 0.0:
+        return float(my), 90.0
+    if sxy == 0.0 and sxx == 0.0:
+        return float(mx), 0.0
+    theta_deg = np.degrees(0.5 * np.arctan2(2.0 * sxy, sxx - syy)) + 90.0
+    rad = np.deg2rad(theta_deg)
+    rho = mx * np.cos(rad) + my * np.sin(rad)
+    if theta_deg >= 180.0:
+        theta_deg -= 180.0
+        rho = -rho
+    return float(rho), float(theta_deg)
+
+
+def _refine_peak(xs, ys, rho_bin: float, theta_bin_deg: float, rho_res: float):
+    """Polish a peak: refit the supporting pixels, recollect the half-pixel band,
+    and repeat a fixed number of rounds.
+
+    One-degree bins alone leave the rho of far-from-origin lines off by several
+    pixels; the voters of a single bin are also a biased slice of the segment,
+    so the fit and its support are iterated to a (near) fixed point.
+    """
+    theta = np.deg2rad(theta_bin_deg)
+    r = np.rint((xs * np.cos(theta) + ys * np.sin(theta)) / rho_res) * rho_res
+    sel = r == rho_bin
+    rho, theta_deg = _tls_line(xs[sel], ys[sel])
+    for _ in range(3):
+        rad = np.deg2rad(theta_deg)
+        band = np.abs(xs * np.cos(rad) + ys * np.sin(rad) - rho) <= 0.5
+        if not band.any():
+            break
+        rho, theta_deg = _tls_line(xs[band], ys[band])
+    return rho, theta_deg
+
+
+def per_peak_hough_lines(edges, rho_res=1.0, theta_res=1.0, min_votes=1):
+    """Hough lines refined one peak at a time, each refit scanning every edge pixel.
+
+    Peaks are 8-neighborhood local maxima of the accumulator (equal-valued
+    neighbors resolved in favor of the smaller (theta, rho) cell), refined by
+    ``_refine_peak``; votes are recounted as the on-pixels within half a pixel
+    of the refined line. Sorted by votes descending, then (theta, rho).
+    """
+    if edges.channels != 1:
+        raise ValueError("expected a grayscale raster")
+    ys, xs = np.nonzero(edges.pixels)
+    n_theta = int(round(180.0 / theta_res))
+    diag = float(np.hypot(edges.width - 1, edges.height - 1))
+    offs = int(np.ceil(diag / rho_res))
+    if len(xs) == 0:
+        return []
+
+    acc = np.zeros((2 * offs + 1, n_theta), dtype=np.int64)
+    xs_f = xs.astype(np.float64)
+    ys_f = ys.astype(np.float64)
+    for ti in range(n_theta):
+        theta = np.deg2rad(ti * theta_res)
+        r = np.rint((xs_f * np.cos(theta) + ys_f * np.sin(theta)) / rho_res).astype(np.int64) + offs
+        acc[:, ti] += np.bincount(r, minlength=2 * offs + 1)
+
+    keep = acc >= min_votes
+    padded = np.full((acc.shape[0] + 2, acc.shape[1] + 2), -1, dtype=np.int64)
+    padded[1:-1, 1:-1] = acc
+    for dr in (-1, 0, 1):
+        for dt in (-1, 0, 1):
+            if dr == 0 and dt == 0:
+                continue
+            nb = padded[1 + dr:padded.shape[0] - 1 + dr, 1 + dt:padded.shape[1] - 1 + dt]
+            precedes = dt < 0 or (dt == 0 and dr < 0)
+            keep &= (acc > nb) if precedes else (acc >= nb)
+
+    lines = []
+    for r, t in zip(*np.nonzero(keep)):
+        rho, theta_deg = _refine_peak(xs_f, ys_f, float((r - offs) * rho_res),
+                                      float(t * theta_res), rho_res)
+        rad = np.deg2rad(theta_deg)
+        band = np.abs(xs_f * np.cos(rad) + ys_f * np.sin(rad) - rho) <= 0.5
+        votes = int(band.sum())
+        if votes >= min_votes:
+            lines.append(HoughLine(rho=rho, theta_deg=theta_deg, votes=votes))
+    lines.sort(key=lambda ln: (-ln.votes, ln.theta_deg, ln.rho))
+    return lines

@@ -69,7 +69,20 @@ def test_lanes_contract(tmp_path):
     assert set(lane) == {"left", "right"}
     assert set(lane["left"]) == {"x0", "y0", "x1", "y1", "valid"}
     assert lane["left"]["valid"] and lane["right"]["valid"]
-    assert annotated.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["frame.pnm", "lane.json", "lane.pnm"]
+
+def test_failed_write_leaves_no_output(tmp_path, capsys):
+    frame, _ = road_frame()
+    src = tmp_path / "frame.pnm"
+    save_pnm(src, frame)
+    blocker = tmp_path / "blocker"
+    blocker.write_bytes(b"")  # a regular file where the image's directory should be
+    out, image = tmp_path / "lane.json", blocker / "lane.pnm"
+    before = sorted(tmp_path.iterdir())
+    code = run(["lanes", str(src), "--out", str(out), "--out-image", str(image)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot write {image}")
+    assert not out.exists() and sorted(tmp_path.iterdir()) == before
 
 def _write_patches(tmp_path, n_cars=6, n_noise=6):
     rng = np.random.default_rng(0)

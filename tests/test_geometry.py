@@ -3,17 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import flood_enclosed_area, line_residual, segment_line_params
+from oracles import flood_enclosed_area, line_residual, per_peak_hough_lines, segment_line_params
 from scenes import calibration_scene, rasterize_segment, road_frame
 from rovercv.geometry import (
     LaneConfig,
     _enclosed_area,
+    _lane_edges,
     detect_lane,
     find_contours,
     hough_lines,
     largest_rectangle,
 )
-from rovercv.raster import Raster
+from rovercv.raster import Raster, sobel_magnitude, threshold_binary
 
 
 def binary(arr):
@@ -87,6 +88,106 @@ class TestHough:
                 rhos.append(segment_line_params(jx0, jy0, jx1, jy1)[0])
         assert len(rhos) >= 2
         assert max(rhos) - min(rhos) > 2.0
+
+
+def segments_map(h, w, density, n_segments, seed):
+    """Random on-pixels at ``density`` plus ``n_segments`` digital segments that
+    may run off the map."""
+    rng = np.random.default_rng(seed)
+    img = rng.random((h, w)) < density
+    t = np.linspace(0.0, 1.0, 4 * (h + w))
+    for _ in range(n_segments):
+        x0, y0, x1, y1 = rng.uniform(-5, max(h, w) + 5, 4)
+        xs = np.rint(x0 + t * (x1 - x0)).astype(int)
+        ys = np.rint(y0 + t * (y1 - y0)).astype(int)
+        inside = (xs >= 0) & (xs < w) & (ys >= 0) & (ys < h)
+        img[ys[inside], xs[inside]] = True
+    return binary(img)
+
+
+class TestHoughMatchesPerPeakOracle:
+    """The batched refinement returns exactly the lines of the per-peak one."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 40), st.sampled_from([0.0, 0.01, 0.05, 0.2, 0.6]),
+           st.integers(0, 3), st.sampled_from([1.0, 0.25, 0.5, 0.7, 1.3, 2.0, 3.0]),
+           st.sampled_from([1.0, 0.3, 0.5, 0.7, 1.7, 3.0, 7.0, 45.0, 90.0, 120.0, 180.0]),
+           st.integers(1, 5), st.integers(0, 2**32 - 1))
+    def test_random_sparse_maps(self, h, w, density, n_segments, rho_res, theta_res,
+                                min_votes, seed):
+        edges = segments_map(h, w, density, n_segments, seed)
+        assert (hough_lines(edges, rho_res, theta_res, min_votes)
+                == per_peak_hough_lines(edges, rho_res, theta_res, min_votes))
+
+    @pytest.mark.parametrize("rho_res, theta_res", [(1.0, 1.0), (0.5, 3.0), (2.0, 0.7)])
+    def test_no_pixel_and_one_pixel(self, rho_res, theta_res):
+        img = np.zeros((9, 13), dtype=np.uint8)
+        assert hough_lines(binary(img), rho_res, theta_res) == []
+        img[4, 7] = 255
+        lines = hough_lines(binary(img), rho_res, theta_res)
+        assert lines and lines == per_peak_hough_lines(binary(img), rho_res, theta_res)
+
+    def test_exact_horizontal_and_vertical_lines(self):
+        img = np.zeros((60, 70), dtype=np.uint8)
+        img[12, 5:60] = img[40, :] = img[:, 3] = img[10:50, 66] = 255
+        lines = hough_lines(binary(img), min_votes=20)
+        assert lines == per_peak_hough_lines(binary(img), min_votes=20)
+        found = {(ln.rho, ln.theta_deg) for ln in lines}
+        assert {(12.0, 90.0), (40.0, 90.0), (3.0, 0.0), (66.0, 0.0)} <= found
+
+    def test_near_vertical_lines_wrap_past_180(self):
+        # steep lines leaning either way: refits of peaks seeded in the first
+        # columns land near 180 degrees and wrap, and the reverse
+        img = np.zeros((120, 90), dtype=np.uint8)
+        ys = np.arange(120)
+        for x0, slope in ((20, 0.01), (45, -0.012), (70, 0.004)):
+            img[ys, np.rint(x0 + slope * ys).astype(int)] = 255
+        for theta_res in (1.0, 0.7, 3.0):
+            lines = hough_lines(binary(img), theta_res=theta_res, min_votes=3)
+            assert lines == per_peak_hough_lines(binary(img), theta_res=theta_res, min_votes=3)
+            thetas = [ln.theta_deg for ln in lines]
+            assert min(thetas) < 1.0 and max(thetas) > 179.0
+
+    def test_thousands_of_short_supports(self):
+        rng = np.random.default_rng(1)
+        edges = binary(rng.random((60, 80)) < 0.2)
+        lines = hough_lines(edges)
+        assert len(lines) > 1000 and lines == per_peak_hough_lines(edges)
+
+    def test_road_frames_and_mirrors(self):
+        for kwargs in ({}, {"left_bottom_x": 80.0, "right_top_x": 190.0}):
+            frame, _ = road_frame(**kwargs)
+            edges, _ = _lane_edges(frame, LaneConfig())
+            for img in (edges, Raster(edges.pixels[:, ::-1])):
+                for min_votes in (1, 30):
+                    assert (hough_lines(img, min_votes=min_votes)
+                            == per_peak_hough_lines(img, min_votes=min_votes))
+
+    def test_noise_edge_map(self):
+        rng = np.random.default_rng(3)
+        noise = Raster(rng.integers(0, 256, (120, 160)).astype(np.uint8))
+        edges = threshold_binary(sobel_magnitude(noise), 60)
+        assert hough_lines(edges) == per_peak_hough_lines(edges)
+
+
+class TestHoughParameters:
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"rho_res": 0}, "rho_res"), ({"rho_res": -1.0}, "rho_res"),
+        ({"rho_res": float("nan")}, "rho_res"), ({"theta_res": 0}, "theta_res"),
+        ({"theta_res": -2.0}, "theta_res"), ({"theta_res": 180.5}, "theta_res"),
+        ({"min_votes": 0}, "min_votes"), ({"min_votes": -3}, "min_votes"),
+    ])
+    def test_bad_parameter_rejected(self, kwargs, name):
+        img = np.zeros((10, 10), dtype=np.uint8)
+        img[5, :] = 255
+        with pytest.raises(ValueError, match=name):
+            hough_lines(binary(img), **kwargs)
+
+    def test_whole_half_turn_theta_bin_accepted(self):
+        img = np.zeros((10, 10), dtype=np.uint8)
+        img[5, :] = 255
+        lines = hough_lines(binary(img), theta_res=180.0)
+        assert lines == per_peak_hough_lines(binary(img), theta_res=180.0)
 
 
 class TestContours:

@@ -46,6 +46,13 @@ class TestRasterType:
         assert (Raster(np.array([[0, 255]])).pixels == [[0, 255]]).all()
         assert Raster(np.array([[0.0, 255.0]])).pixels.dtype == np.uint8
 
+    def test_fractional_values_rejected(self):
+        for bad in ([[12.7, 254.9]], [[0.5]], [[254.999]]):
+            with pytest.raises(ValueError, match="whole numbers"):
+                Raster(np.array(bad))
+        assert (Raster(np.array([[12.0, 254.0]])).pixels == [[12, 254]]).all()
+        assert (Raster(np.array([[True, False]])).pixels == [[1, 0]]).all()
+
     def test_dimensions(self):
         r = rgb(np.zeros((5, 7, 3)))
         assert (r.width, r.height, r.channels) == (7, 5, 3)
