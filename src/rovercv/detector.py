@@ -210,14 +210,17 @@ def threshold_boxes(heatmap: Heatmap) -> list:
     if peak <= 0.0:
         return []
     labels, n = label_components(values >= 0.5 * peak, connectivity=8)
-    boxes = []
-    for cid in range(n):
-        ys, xs = np.nonzero(labels == cid)
-        x0, y0 = int(xs.min()), int(ys.min())
-        boxes.append(Detection(
-            x=x0, y=y0, w=int(xs.max()) - x0 + 1, h=int(ys.max()) - y0 + 1,
-            score=float(values[ys, xs].max()),
-        ))
+    ys, xs = np.nonzero(labels >= 0)
+    lab = labels[ys, xs]
+    x0, y0 = np.full(n, labels.shape[1]), np.full(n, labels.shape[0])
+    x1, y1, score = np.full(n, -1), np.full(n, -1), np.full(n, -np.inf)
+    np.minimum.at(x0, lab, xs)
+    np.minimum.at(y0, lab, ys)
+    np.maximum.at(x1, lab, xs)
+    np.maximum.at(y1, lab, ys)
+    np.maximum.at(score, lab, values[ys, xs])
+    boxes = [Detection(x=int(a), y=int(b), w=int(c - a + 1), h=int(d - b + 1), score=float(s))
+             for a, b, c, d, s in zip(x0, y0, x1, y1, score)]
     boxes.sort(key=lambda d: (-d.score, d.y, d.x))
     return boxes
 

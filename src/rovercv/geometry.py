@@ -3,15 +3,11 @@ detection pipeline.
 """
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .raster import Raster, blurred_gray, sobel_magnitude, threshold_binary
-
-_N4 = ((-1, 0), (1, 0), (0, -1), (0, 1))
-_N8 = _N4 + ((-1, -1), (-1, 1), (1, -1), (1, 1))
 
 
 @dataclass(frozen=True)
@@ -315,26 +311,52 @@ def hough_lines(edges: Raster, rho_res: float = 1.0, theta_res: float = 1.0,
 
 
 def label_components(mask: np.ndarray, connectivity: int = 8):
-    """Label connected True regions; returns (labels with -1 background, count)."""
-    offsets = _N8 if connectivity == 8 else _N4
+    """Label connected True regions; returns (labels with -1 background, count).
+
+    Components are numbered in the row-major order of their first pixels. The
+    mask is read as runs of True pixels along its rows; runs in adjacent rows
+    that overlap (for 8-connectivity, also diagonally) are merged by hooking
+    each root onto the smaller one and jumping pointers until every touching
+    pair agrees. Each run's root is then its component's first run. The cost is
+    O(h * w) numpy work plus O(runs) per merge round.
+    """
+    if connectivity not in (4, 8):
+        raise ValueError(f"connectivity must be 4 or 8, got {connectivity!r}")
     mask = np.asarray(mask, dtype=bool)
+    if mask.ndim != 2:
+        raise ValueError(f"mask must be a 2-D array, got {mask.ndim} dimension(s)")
     h, w = mask.shape
     labels = np.full((h, w), -1, dtype=np.int32)
-    current = 0
-    for sy, sx in zip(*np.nonzero(mask)):
-        if labels[sy, sx] != -1:
-            continue
-        labels[sy, sx] = current
-        queue = deque([(sy, sx)])
-        while queue:
-            y, x = queue.popleft()
-            for dy, dx in offsets:
-                ny, nx = y + dy, x + dx
-                if 0 <= ny < h and 0 <= nx < w and mask[ny, nx] and labels[ny, nx] == -1:
-                    labels[ny, nx] = current
-                    queue.append((ny, nx))
-        current += 1
-    return labels, current
+    padded = np.zeros((h, w + 2), dtype=bool)
+    padded[:, 1:-1] = mask
+    # run i covers flat positions start[i]..end[i]-1 of rows w + 1 wide
+    left, right = padded[:, :-1], padded[:, 1:]
+    start, end = np.flatnonzero(right & ~left), np.flatnonzero(left & ~right)
+    n = len(start)
+    if n == 0:
+        return labels, 0
+    # run i touches the runs of the row above from the first that ends after
+    # its start to the last that starts before its end, one pixel wider on
+    # each side for 8-connectivity
+    reach = int(connectivity == 8)
+    lo = np.searchsorted(end, start - (w + 1) - reach, side="right")
+    hi = np.searchsorted(start, end - (w + 1) + reach, side="left")
+    below, above = _runs(lo, hi)
+    parent = np.arange(n)
+    while True:
+        pa, pb = parent[above], parent[below]
+        apart = pa != pb
+        if not apart.any():
+            break
+        above, below, pa, pb = above[apart], below[apart], pa[apart], pb[apart]
+        root = np.minimum(pa, pb)
+        np.minimum.at(parent, pa, root)
+        np.minimum.at(parent, pb, root)
+        while ((up := parent[parent]) != parent).any():
+            parent = up
+    first = parent == np.arange(n)
+    labels[mask] = np.repeat((np.cumsum(first) - 1)[parent], end - start)
+    return labels, int(first.sum())
 
 
 def find_contours(mask: Raster) -> list:
@@ -345,22 +367,35 @@ def find_contours(mask: Raster) -> list:
 
 
 def _contours(labels: np.ndarray, n: int) -> list:
-    """One contour per component of a labeling, sorted by area descending."""
-    contours = []
-    for cid in range(n):
-        comp = labels == cid
-        ys, xs = np.nonzero(comp)
-        x0, x1 = int(xs.min()), int(xs.max())
-        y0, y1 = int(ys.min()), int(ys.max())
-        local = comp[y0:y1 + 1, x0:x1 + 1]
-        inner = np.zeros_like(local)
-        inner[1:-1, 1:-1] = (local[:-2, 1:-1] & local[2:, 1:-1]
-                             & local[1:-1, :-2] & local[1:-1, 2:])
-        by, bx = np.nonzero(local & ~inner)
-        pixels = np.column_stack((bx + x0, by + y0)).astype(np.int64)
-        contours.append(Contour(pixels=pixels,
-                                bbox=(x0, y0, x1 - x0 + 1, y1 - y0 + 1),
-                                area=int(comp.sum())))
+    """One contour per component of a labeling, sorted by area descending.
+
+    A component's boundary is its pixels with a 4-neighbor of another label or
+    off the image. The bbox extremes lie on it, so one pass over the boundary
+    pixels, stably sorted by label to keep each contour in row-major order,
+    gives every bbox and contour.
+    """
+    if n == 0:
+        return []
+    h, w = labels.shape
+    padded = np.full((h + 2, w + 2), -1, dtype=labels.dtype)
+    padded[1:-1, 1:-1] = labels
+    edge = ((padded[:-2, 1:-1] != labels) | (padded[2:, 1:-1] != labels)
+            | (padded[1:-1, :-2] != labels) | (padded[1:-1, 2:] != labels))
+    ys, xs = np.nonzero(edge & (labels >= 0))
+    lab = labels[ys, xs]
+    x0, y0 = np.full(n, w), np.full(n, h)
+    x1, y1 = np.full(n, -1), np.full(n, -1)
+    np.minimum.at(x0, lab, xs)
+    np.minimum.at(y0, lab, ys)
+    np.maximum.at(x1, lab, xs)
+    np.maximum.at(y1, lab, ys)
+    area = np.bincount(labels.ravel() + 1, minlength=n + 1)[1:]
+    order = np.argsort(lab, kind="stable")
+    pixels = np.column_stack((xs[order], ys[order])).astype(np.int64)
+    splits = np.cumsum(np.bincount(lab, minlength=n))[:-1]
+    contours = [Contour(pixels=p, bbox=(int(a), int(b), int(c - a + 1), int(d - b + 1)),
+                        area=int(s))
+                for p, a, b, c, d, s in zip(np.split(pixels, splits), x0, y0, x1, y1, area)]
     contours.sort(key=lambda c: -c.area)
     return contours
 

@@ -4,11 +4,10 @@ marker-based watershed flooding behind one ``segment_floor`` entry point.
 
 import heapq
 from dataclasses import dataclass
-from itertools import count
 
 import numpy as np
 
-from .geometry import _N4, label_components
+from .geometry import label_components
 from .raster import Raster, blurred_gray, sobel_magnitude
 
 
@@ -145,9 +144,16 @@ def kmeans_segment(img: Raster, k: int, max_iter: int = 100, tol: float = 1e-4) 
 def watershed_segment(img: Raster, markers: LabelMask) -> WatershedResult:
     """Priority-flood the image treated as terrain height, starting from marker seeds.
 
-    Pixels pop in ascending (height, y, x, insertion order); each takes the
-    smallest label among its already-labeled 4-neighbors, and is flagged as a
-    watershed-line pixel when two different labels meet there.
+    Pixels pop in ascending (height, y, x); each takes the smallest label among
+    its already-labeled 4-neighbors, and is flagged as a watershed-line pixel
+    when two different labels meet there.
+
+    The flood runs on flat Python lists of the grid padded by a one-pixel
+    border, so neighbors need no bounds checks. Its heap holds one int key per
+    pixel, height * size + padded index, which orders like (height, y, x). A
+    pixel is queued once, when its first neighbor is labeled: its key never
+    changes, so a second copy could only pop after the first had labeled it.
+    The cost is O(h * w * log(frontier)).
     """
     if img.channels != 1:
         raise ValueError("expected a grayscale raster")
@@ -158,36 +164,51 @@ def watershed_segment(img: Raster, markers: LabelMask) -> WatershedResult:
         raise ValueError("no markers")
 
     h, w = img.pixels.shape
-    height = img.pixels
-    labels = seeds.astype(np.int32).copy()
-    lines = np.zeros((h, w), dtype=bool)
-    ticket = count()
-    heap = []
-
-    for y, x in np.argwhere(seeds > 0):
-        for dy, dx in _N4:
-            ny, nx = y + dy, x + dx
-            if 0 <= ny < h and 0 <= nx < w and labels[ny, nx] == 0:
-                heapq.heappush(heap, (int(height[ny, nx]), int(ny), int(nx), next(ticket)))
-
+    stride, size = w + 2, (h + 2) * (w + 2)
+    # -1 marks the border and queued pixels: neither is a labeled neighbor nor
+    # to be queued
+    grid = np.full((h + 2, stride), -1, dtype=np.int64)
+    grid[1:-1, 1:-1] = seeds
+    seeded = grid > 0
+    frontier = np.zeros_like(seeded)
+    frontier[1:-1, 1:-1] = (seeded[:-2, 1:-1] | seeded[2:, 1:-1]
+                            | seeded[1:-1, :-2] | seeded[1:-1, 2:])
+    frontier &= grid == 0
+    height = np.zeros((h + 2, stride), dtype=np.int64)
+    height[1:-1, 1:-1] = img.pixels
+    queued = np.flatnonzero(frontier)
+    heap = (height.ravel()[queued] * size + queued).tolist()
+    heapq.heapify(heap)
+    grid[frontier] = -1
+    labels, height = grid.ravel().tolist(), height.ravel().tolist()
+    lines = []
+    pop, push = heapq.heappop, heapq.heappush
+    offsets = (-stride, -1, 1, stride)
     while heap:
-        _, y, x, _ = heapq.heappop(heap)
-        if labels[y, x] != 0:
-            continue
-        neighbor_labels = set()
-        for dy, dx in _N4:
-            ny, nx = y + dy, x + dx
-            if 0 <= ny < h and 0 <= nx < w and labels[ny, nx] > 0:
-                neighbor_labels.add(int(labels[ny, nx]))
-        labels[y, x] = min(neighbor_labels)
-        if len(neighbor_labels) > 1:
-            lines[y, x] = True
-        for dy, dx in _N4:
-            ny, nx = y + dy, x + dx
-            if 0 <= ny < h and 0 <= nx < w and labels[ny, nx] == 0:
-                heapq.heappush(heap, (int(height[ny, nx]), int(ny), int(nx), next(ticket)))
+        p = pop(heap) % size
+        best, met = 0, False
+        for d in offsets:
+            q = p + d
+            v = labels[q]
+            if v > 0:
+                if not best:
+                    best = v
+                elif v != best:
+                    met = True
+                    if v < best:
+                        best = v
+            elif not v:
+                labels[q] = -1
+                push(heap, height[q] * size + q)
+        labels[p] = best
+        if met:
+            lines.append(p)
 
-    return WatershedResult(LabelMask(labels, num_labels=int(seeds.max()) + 1), lines)
+    line_y, line_x = np.divmod(np.array(lines, dtype=np.int64), stride)
+    line_mask = np.zeros((h, w), dtype=bool)
+    line_mask[line_y - 1, line_x - 1] = True
+    labels = np.array(labels, dtype=np.int32).reshape(h + 2, stride)[1:-1, 1:-1]
+    return WatershedResult(LabelMask(labels, num_labels=int(seeds.max()) + 1), line_mask)
 
 
 def _distance_to_outside(region: np.ndarray) -> np.ndarray:

@@ -5,11 +5,18 @@ formulas, dense solvers) and deliberately shares no code with the package
 beyond its result types.
 """
 
+import heapq
 from collections import deque
+from itertools import count
 
 import numpy as np
 
-from rovercv.geometry import HoughLine
+from rovercv.detector import Detection
+from rovercv.geometry import Contour, HoughLine
+from rovercv.segmentation import LabelMask, WatershedResult
+
+_N4 = ((-1, 0), (1, 0), (0, -1), (0, 1))
+_N8 = _N4 + ((-1, -1), (-1, 1), (1, -1), (1, 1))
 
 
 def brute_otsu(hist):
@@ -254,3 +261,115 @@ def per_peak_hough_lines(edges, rho_res=1.0, theta_res=1.0, min_votes=1):
             lines.append(HoughLine(rho=rho, theta_deg=theta_deg, votes=votes))
     lines.sort(key=lambda ln: (-ln.votes, ln.theta_deg, ln.rho))
     return lines
+
+
+def bfs_label_components(mask: np.ndarray, connectivity: int = 8):
+    """Label connected True regions; returns (labels with -1 background, count)."""
+    offsets = _N8 if connectivity == 8 else _N4
+    mask = np.asarray(mask, dtype=bool)
+    h, w = mask.shape
+    labels = np.full((h, w), -1, dtype=np.int32)
+    current = 0
+    for sy, sx in zip(*np.nonzero(mask)):
+        if labels[sy, sx] != -1:
+            continue
+        labels[sy, sx] = current
+        queue = deque([(sy, sx)])
+        while queue:
+            y, x = queue.popleft()
+            for dy, dx in offsets:
+                ny, nx = y + dy, x + dx
+                if 0 <= ny < h and 0 <= nx < w and mask[ny, nx] and labels[ny, nx] == -1:
+                    labels[ny, nx] = current
+                    queue.append((ny, nx))
+        current += 1
+    return labels, current
+
+
+def heap_watershed(img, markers: LabelMask) -> WatershedResult:
+    """Priority-flood the image treated as terrain height, starting from marker seeds.
+
+    Pixels pop in ascending (height, y, x, insertion order); each takes the
+    smallest label among its already-labeled 4-neighbors, and is flagged as a
+    watershed-line pixel when two different labels meet there.
+    """
+    if img.channels != 1:
+        raise ValueError("expected a grayscale raster")
+    if markers.labels.shape != img.pixels.shape:
+        raise ValueError("marker dimensions must match the image")
+    seeds = markers.labels
+    if not (seeds > 0).any():
+        raise ValueError("no markers")
+
+    h, w = img.pixels.shape
+    height = img.pixels
+    labels = seeds.astype(np.int32).copy()
+    lines = np.zeros((h, w), dtype=bool)
+    ticket = count()
+    heap = []
+
+    for y, x in np.argwhere(seeds > 0):
+        for dy, dx in _N4:
+            ny, nx = y + dy, x + dx
+            if 0 <= ny < h and 0 <= nx < w and labels[ny, nx] == 0:
+                heapq.heappush(heap, (int(height[ny, nx]), int(ny), int(nx), next(ticket)))
+
+    while heap:
+        _, y, x, _ = heapq.heappop(heap)
+        if labels[y, x] != 0:
+            continue
+        neighbor_labels = set()
+        for dy, dx in _N4:
+            ny, nx = y + dy, x + dx
+            if 0 <= ny < h and 0 <= nx < w and labels[ny, nx] > 0:
+                neighbor_labels.add(int(labels[ny, nx]))
+        labels[y, x] = min(neighbor_labels)
+        if len(neighbor_labels) > 1:
+            lines[y, x] = True
+        for dy, dx in _N4:
+            ny, nx = y + dy, x + dx
+            if 0 <= ny < h and 0 <= nx < w and labels[ny, nx] == 0:
+                heapq.heappush(heap, (int(height[ny, nx]), int(ny), int(nx), next(ticket)))
+
+    return WatershedResult(LabelMask(labels, num_labels=int(seeds.max()) + 1), lines)
+
+
+def per_component_contours(labels, n):
+    """One contour per component of a labeling, each found by a scan of the
+    whole labeling for its pixels; sorted by area descending."""
+    contours = []
+    for cid in range(n):
+        comp = labels == cid
+        ys, xs = np.nonzero(comp)
+        x0, x1 = int(xs.min()), int(xs.max())
+        y0, y1 = int(ys.min()), int(ys.max())
+        local = comp[y0:y1 + 1, x0:x1 + 1]
+        inner = np.zeros_like(local)
+        inner[1:-1, 1:-1] = (local[:-2, 1:-1] & local[2:, 1:-1]
+                             & local[1:-1, :-2] & local[1:-1, 2:])
+        by, bx = np.nonzero(local & ~inner)
+        pixels = np.column_stack((bx + x0, by + y0)).astype(np.int64)
+        contours.append(Contour(pixels=pixels,
+                                bbox=(x0, y0, x1 - x0 + 1, y1 - y0 + 1),
+                                area=int(comp.sum())))
+    contours.sort(key=lambda c: -c.area)
+    return contours
+
+
+def per_component_boxes(values):
+    """Boxes of the 8-connected regions where heat >= half its peak, each found
+    by a scan of the whole labeling for its pixels."""
+    peak = float(values.max()) if values.size else 0.0
+    if peak <= 0.0:
+        return []
+    labels, n = bfs_label_components(values >= 0.5 * peak, connectivity=8)
+    boxes = []
+    for cid in range(n):
+        ys, xs = np.nonzero(labels == cid)
+        x0, y0 = int(xs.min()), int(ys.min())
+        boxes.append(Detection(
+            x=x0, y=y0, w=int(xs.max()) - x0 + 1, h=int(ys.max()) - y0 + 1,
+            score=float(values[ys, xs].max()),
+        ))
+    boxes.sort(key=lambda d: (-d.score, d.y, d.x))
+    return boxes

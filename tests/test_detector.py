@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import per_component_boxes
 from scenes import frame_with_cars, noise_frame, training_set
 from rovercv.classifier import LinearModel, svm_train
 from rovercv.detector import (
@@ -165,6 +166,20 @@ class TestThresholdBoxes:
         b2 = threshold_boxes(heatmap_fuse(b1, 200, 120))
         assert {(b.x, b.y, b.w, b.h) for b in b1} == {(b.x, b.y, b.w, b.h) for b in b2}
         assert len(b1) == len(b2) == 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 40), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_matches_per_component_oracle(self, h, w, plateaus, seed):
+        rng = np.random.default_rng(seed)
+        if plateaus:  # few levels: equal peaks in several regions tie on score
+            values = rng.integers(0, 4, size=(h, w)).astype(np.float64)
+        else:
+            dets = [Detection(int(rng.integers(0, w)), int(rng.integers(0, h)),
+                              int(rng.integers(1, w + 1)), int(rng.integers(1, h + 1)), 1.0)
+                    for _ in range(int(rng.integers(1, 8)))]
+            dets = [Detection(d.x, d.y, min(d.w, w - d.x), min(d.h, h - d.y), 1.0) for d in dets]
+            values = heatmap_fuse(dets, w, h).values
+        assert threshold_boxes(Heatmap(values)) == per_component_boxes(values)
 
     def test_components_disjoint(self):
         rng = np.random.default_rng(9)

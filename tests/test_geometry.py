@@ -3,7 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import flood_enclosed_area, line_residual, per_peak_hough_lines, segment_line_params
+from oracles import (
+    bfs_label_components,
+    flood_enclosed_area,
+    line_residual,
+    per_component_contours,
+    per_peak_hough_lines,
+    segment_line_params,
+)
 from scenes import calibration_scene, rasterize_segment, road_frame
 from rovercv.geometry import (
     LaneConfig,
@@ -12,6 +19,7 @@ from rovercv.geometry import (
     detect_lane,
     find_contours,
     hough_lines,
+    label_components,
     largest_rectangle,
 )
 from rovercv.raster import Raster, sobel_magnitude, threshold_binary
@@ -226,6 +234,19 @@ class TestContours:
             assert (c.pixels[:, 1] >= y).all() and (c.pixels[:, 1] < y + h).all()
             assert c.area <= w * h
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 30), st.integers(1, 30), st.sampled_from([0.1, 0.3, 0.6, 0.9]),
+           st.integers(0, 2**32 - 1))
+    def test_matches_per_component_oracle(self, h, w, density, seed):
+        mask = np.random.default_rng(seed).random((h, w)) < density
+        got = find_contours(binary(mask))
+        want = per_component_contours(*bfs_label_components(mask, connectivity=8))
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert (a.bbox, a.area) == (b.bbox, b.area)
+            assert a.pixels.dtype == b.pixels.dtype
+            assert np.array_equal(a.pixels, b.pixels)
+
 
 def nested_rings(h, w, step):
     """Concentric one-pixel rectangle outlines every ``step`` pixels from the edge,
@@ -235,6 +256,107 @@ def nested_rings(h, w, step):
         mask[k, k:w - k] = mask[h - 1 - k, k:w - k] = True
         mask[k:h - k, k] = mask[k:h - k, w - 1 - k] = True
     return mask
+
+
+def spiral(n):
+    """One-pixel-wide square spiral walked inward from the top-left corner, a
+    one-pixel gap between its turns: a single component whose runs merge in a
+    long chain."""
+    mask = np.zeros((n, n), dtype=bool)
+    y = x = 0
+    dy, dx = 0, 1
+    mask[0, 0] = True
+    turns = 0
+    while turns < 2:
+        ny, nx, ay, ax = y + dy, x + dx, y + 2 * dy, x + 2 * dx
+        free = (0 <= ny < n and 0 <= nx < n and not mask[ny, nx]
+                and not (0 <= ay < n and 0 <= ax < n and mask[ay, ax]))
+        if free:
+            y, x, turns = ny, nx, 0
+            mask[y, x] = True
+        else:
+            dy, dx, turns = dx, -dy, turns + 1
+    return mask
+
+
+def comb(h, w, joined_at_bottom=True):
+    """Vertical teeth on every other column, joined by one full row."""
+    mask = np.zeros((h, w), dtype=bool)
+    mask[:, ::2] = True
+    mask[-1 if joined_at_bottom else 0, :] = True
+    return mask
+
+
+ADVERSARIAL_MASKS = {
+    "empty": np.zeros((7, 9), dtype=bool),
+    "full": np.ones((7, 9), dtype=bool),
+    "no_rows": np.zeros((0, 5), dtype=bool),
+    "no_columns": np.zeros((5, 0), dtype=bool),
+    "one_row": np.array([[1, 1, 0, 1, 0, 0, 1, 1, 1]], dtype=bool),
+    "one_column": np.array([[1, 1, 0, 1, 0, 0, 1, 1, 1]], dtype=bool).T,
+    "spiral_odd": spiral(41),
+    "spiral_even": spiral(40),
+    "comb_bottom": comb(30, 41),
+    "comb_top": comb(30, 41, joined_at_bottom=False),
+    "checkerboard": np.indices((24, 31)).sum(axis=0) % 2 == 0,
+    "staircase": np.tril(np.ones((25, 25), dtype=bool)) & ~np.tril(np.ones((25, 25), bool), -2),
+    "diagonal": np.eye(20, 27, dtype=bool) | np.eye(20, 27, 7, dtype=bool)[:, ::-1],
+    "nested_rings": nested_rings(31, 37, 2),
+}
+
+
+class TestLabelComponents:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 32), st.integers(0, 32),
+           st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.6, 0.8, 1.0]), st.sampled_from([4, 8]),
+           st.integers(0, 2**32 - 1))
+    def test_matches_bfs_oracle(self, h, w, density, connectivity, seed):
+        mask = np.random.default_rng(seed).random((h, w)) < density
+        labels, n = label_components(mask, connectivity=connectivity)
+        want, m = bfs_label_components(mask, connectivity=connectivity)
+        assert n == m
+        assert labels.dtype == want.dtype
+        assert np.array_equal(labels, want)
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    @pytest.mark.parametrize("name", sorted(ADVERSARIAL_MASKS))
+    def test_adversarial_masks_match_bfs_oracle(self, name, connectivity):
+        mask = ADVERSARIAL_MASKS[name]
+        labels, n = label_components(mask, connectivity=connectivity)
+        want, m = bfs_label_components(mask, connectivity=connectivity)
+        assert n == m
+        assert np.array_equal(labels, want)
+
+    def test_adversarial_shapes(self):
+        assert label_components(spiral(41), connectivity=4)[1] == 1
+        assert label_components(comb(30, 41), connectivity=4)[1] == 1
+        board = ADVERSARIAL_MASKS["checkerboard"]
+        assert label_components(board, connectivity=8)[1] == 1
+        assert label_components(board, connectivity=4)[1] == int(board.sum())
+
+    def test_partition_matches_scipy(self):
+        ndimage = pytest.importorskip("scipy.ndimage")
+        rng = np.random.default_rng(31)
+        masks = list(ADVERSARIAL_MASKS.values())
+        masks += [rng.random((int(rng.integers(1, 60)), int(rng.integers(1, 60)))) < d
+                  for d in (0.2, 0.4, 0.5, 0.6, 0.8) for _ in range(8)]
+        for connectivity, structure in ((4, None), (8, np.ones((3, 3), dtype=int))):
+            for mask in masks:
+                labels, n = label_components(mask, connectivity=connectivity)
+                theirs, m = ndimage.label(mask, structure=structure)
+                assert n == m
+                assert (labels[~mask] == -1).all()
+                pairs = np.unique(np.stack((labels[mask], theirs[mask])), axis=1)
+                assert pairs.shape[1] == n  # a one-to-one renumbering
+
+    def test_unsupported_connectivity_rejected(self):
+        with pytest.raises(ValueError, match="connectivity"):
+            label_components(np.ones((3, 3), dtype=bool), connectivity=6)
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 4)])
+    def test_mask_not_2d_rejected(self, shape):
+        with pytest.raises(ValueError, match="mask"):
+            label_components(np.ones(shape, dtype=bool))
 
 
 class TestEnclosedArea:

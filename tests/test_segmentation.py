@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import best_1d_two_means_split, brute_otsu
+from oracles import best_1d_two_means_split, brute_otsu, heap_watershed
 from scenes import floor_box_scene, stain_scene
-from rovercv.raster import Raster
+from rovercv.raster import Raster, blurred_gray, sobel_magnitude
 from rovercv.segmentation import (
     LabelMask,
     SegmentConfig,
+    _derive_markers,
     kmeans_points,
     kmeans_segment,
     otsu_from_histogram,
@@ -143,6 +146,56 @@ class TestWatershed:
             present = set(np.unique(res.regions.labels))
             assert 0 not in present
             assert present <= set(seeds.values())
+
+
+def assert_matches_heap_oracle(img, markers):
+    got, want = watershed_segment(img, markers), heap_watershed(img, markers)
+    assert got.regions.num_labels == want.regions.num_labels
+    assert np.array_equal(got.regions.labels, want.regions.labels)
+    assert got.lines.dtype == want.lines.dtype
+    assert np.array_equal(got.lines, want.lines)
+
+
+class TestWatershedMatchesHeapOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 24), st.integers(1, 24), st.sampled_from([1, 2, 3, 16, 256]),
+           st.sampled_from([0.01, 0.05, 0.3, 0.9]), st.integers(1, 6),
+           st.integers(0, 2**32 - 1))
+    def test_random_terrain_and_markers(self, h, w, levels, density, n_labels, seed):
+        # few height levels make plateaus, where pixel order decides every tie
+        rng = np.random.default_rng(seed)
+        img = gray(rng.integers(0, levels, size=(h, w)) * (255 // max(levels - 1, 1)))
+        seeds = np.where(rng.random((h, w)) < density, rng.integers(1, n_labels + 1, (h, w)), 0)
+        seeds[rng.integers(h), rng.integers(w)] = n_labels
+        assert_matches_heap_oracle(img, LabelMask(seeds, num_labels=n_labels + 1))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 17), (17, 1), (9, 13)])
+    def test_constant_plateau(self, shape):
+        h, w = shape
+        seeds = {(0, 0): 1, (h - 1, w - 1): 2, (h // 2, w // 2): 3}
+        assert_matches_heap_oracle(gray(np.full(shape, 90)), seed_mask(shape, seeds))
+
+    def test_touching_markers(self):
+        rng = np.random.default_rng(15)
+        img = gray(rng.integers(0, 4, size=(11, 12)) * 60)
+        seeds = np.zeros((11, 12), dtype=np.int32)
+        seeds[3:6, 2:5], seeds[3:6, 5:8], seeds[6, 2:8] = 1, 2, 3
+        assert_matches_heap_oracle(img, LabelMask(seeds, num_labels=4))
+        board = (np.indices((11, 12)).sum(axis=0) % 2 + 1).astype(np.int32)
+        board[5, 6] = 0  # the one pixel left to flood meets both labels
+        assert_matches_heap_oracle(img, LabelMask(board, num_labels=3))
+
+    def test_every_pixel_seeded(self):
+        seeds = np.arange(1, 31, dtype=np.int32).reshape(5, 6)
+        res = watershed_segment(gray(np.zeros((5, 6))), LabelMask(seeds, num_labels=31))
+        assert np.array_equal(res.regions.labels, seeds)
+        assert not res.lines.any()
+
+    @pytest.mark.parametrize("scene", [floor_box_scene, stain_scene])
+    def test_segmentation_fixtures(self, scene):
+        gray_img = blurred_gray(scene()[0], SegmentConfig().blur_passes)
+        markers, _ = _derive_markers(gray_img, SegmentConfig().marker_dist_frac)
+        assert_matches_heap_oracle(sobel_magnitude(gray_img), markers)
 
 
 class TestSegmentFloor:
