@@ -57,6 +57,13 @@ def _nonneg_float(text):
     return value
 
 
+def _unit_float(text):
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"{text} is not in [0, 1]")
+    return value
+
+
 def _positive_int(text):
     value = int(text)
     if value <= 0:
@@ -170,9 +177,9 @@ def _build_parser(defaults: dict) -> argparse.ArgumentParser:
     p.add_argument("global_map")
     p.add_argument("partial_map")
     p.add_argument("--min-known", type=_positive_int, default=d("min_known", 50))
-    p.add_argument("--min-score", dest="localize_min_score", type=_nonneg_float,
+    p.add_argument("--min-score", dest="localize_min_score", type=_unit_float,
                    default=d("localize_min_score", 0.6))
-    p.add_argument("--min-overlap-frac", type=_nonneg_float,
+    p.add_argument("--min-overlap-frac", type=_unit_float,
                    default=d("min_overlap_frac", 0.5))
     p.add_argument("--out", default="pose.json")
     p.set_defaults(handler=_cmd_localize)
@@ -189,6 +196,31 @@ def _build_parser(defaults: dict) -> argparse.ArgumentParser:
     if unknown:
         raise UsageError(f"unknown keys {unknown}")
     return parser
+
+
+def _parse_args(argv, defaults: dict):
+    """Parse ``argv``, then run each --config value the chosen command uses
+    through its option's type and choices, which argparse applies only to
+    string defaults. The parser is freed on return, before the command runs."""
+    parser = _build_parser(defaults)
+    args = parser.parse_args(argv)
+    subparsers = next(a for a in parser._actions if a.dest == "command")
+    for action in parser._actions + subparsers.choices[args.command]._actions:
+        key = action.dest
+        # a value given on the command line replaced the config value
+        if key not in defaults or getattr(args, key, None) is not defaults[key]:
+            continue
+        value = defaults[key]
+        try:
+            if action.type is not None:
+                action.type(str(value))
+        except argparse.ArgumentTypeError as exc:
+            raise UsageError(f"{key}: {exc}") from None
+        except ValueError:
+            raise UsageError(f"{key}: invalid value {value!r}") from None
+        if action.choices is not None and value not in action.choices:
+            raise UsageError(f"{key}: {value!r} is not one of {list(action.choices)}")
+    return args
 
 
 def _json_bytes(obj) -> bytes:
@@ -414,7 +446,7 @@ def run(argv=None) -> int:
             return 2
 
     try:
-        args = _build_parser(defaults).parse_args(argv)
+        args = _parse_args(argv, defaults)
         outputs = args.handler(args)
     except SystemExit as exc:
         return int(exc.code or 0)

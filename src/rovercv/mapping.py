@@ -200,18 +200,6 @@ def _rotate_map(m: OccupancyMap, deg: float) -> OccupancyMap:
     return OccupancyMap(cell_cm=c, origin=origin, grid=grid)
 
 
-def _fft_xcorr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full 2-D cross-correlation of small 0/1 grids, made exact by rounding.
-
-    out[dy + hb - 1, dx + wb - 1] = sum over (i, j) of a[i+dy, j+dx] * b[i, j].
-    """
-    sh = (a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1)
-    fa = np.fft.rfft2(a, sh)
-    fb = np.fft.rfft2(b[::-1, ::-1], sh)
-    cc = np.fft.irfft2(fa * fb, sh)
-    return np.rint(cc).astype(np.int64)
-
-
 @dataclass(frozen=True)
 class LocalizeConfig:
     min_known: int = 50
@@ -223,6 +211,12 @@ class LocalizeConfig:
     # overlaps would otherwise win on luck, and frontier placements by hiding
     # their distinctive cells over unexplored territory
     min_overlap_frac: float = 0.5
+
+    def __post_init__(self):
+        # both are fractions of cells, so a value above 1 could never be met
+        for name in ("min_score", "min_overlap_frac"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -245,14 +239,65 @@ def _wall_angles(m: OccupancyMap, cfg: LocalizeConfig) -> list:
     return angles
 
 
-def _candidate_rotations(global_map, partial, cfg) -> list:
-    cands = {0, 90, 180, 270}
-    for tg in _wall_angles(global_map, cfg):
-        for tp in _wall_angles(partial, cfg):
-            d = (tg - tp) % 180.0
-            cands.add(int(round(d)) % 360)
-            cands.add((int(round(d)) + 180) % 360)
-    return sorted(cands)
+def _smooth_size(n: int) -> int:
+    """The smallest integer >= n with no prime factor above 5, a fast FFT length."""
+    while True:
+        m = n
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
+def _placement_counts(global_grid: np.ndarray, partial_grids: list):
+    """Yield (overlap, match) for each partial grid, over every cell placement.
+
+    For a partial of shape (h, w), both arrays have the full-correlation shape
+    (H + h - 1, W + w - 1); entry [dy + h - 1, dx + w - 1] counts the partial's
+    cells (i, j) landing on global cell (i + dy, j + dx) that are known in both
+    grids (overlap) and that hold the same known state (match). The counts are
+    exact integers held as floats.
+
+    The global grid is transformed once, on one 2·3·5-smooth FFT shape that
+    covers the largest placement extent: its OCCUPIED cells, and its FREE cells,
+    whose spectrum plus OCCUPIED's is the spectrum of its KNOWN cells. Each
+    partial then costs two forward and two inverse FFTs (``_counts``).
+    """
+    gh, gw = global_grid.shape
+    shape = (_smooth_size(gh + max(g.shape[0] for g in partial_grids) - 1),
+             _smooth_size(gw + max(g.shape[1] for g in partial_grids) - 1))
+    g_occ = np.fft.rfft2(global_grid == OCCUPIED, shape)
+    g_known = np.fft.rfft2(global_grid == FREE, shape)
+    g_known += g_occ
+    for grid in partial_grids:
+        yield _counts(g_known, g_occ, grid, shape, (gh + grid.shape[0] - 1,
+                                                    gw + grid.shape[1] - 1))
+
+
+def _counts(g_known, g_occ, grid, shape, full):
+    """One partial's (overlap, match) from the global KNOWN and OCCUPIED spectra.
+
+    overlap = KNOWN * (P_free + P_occ), and match = FREE * P_free + OCC * P_occ,
+    computed as KNOWN * P_free + OCC * (P_occ - P_free), in place where possible.
+    Both inverse transforms are cropped to the partial's own full shape.
+    """
+    flipped = grid[::-1, ::-1]
+    match = np.fft.rfft2(flipped == FREE, shape)
+    p_occ = np.fft.rfft2(flipped == OCCUPIED, shape)
+    overlap = match + p_occ
+    overlap *= g_known
+    p_occ -= match
+    p_occ *= g_occ
+    match *= g_known
+    match += p_occ
+    # from here each name is rebound from its spectrum to its counts, so that
+    # only two spectrum-sized arrays stay alive through the inverse transforms
+    del p_occ
+    overlap = np.fft.irfft2(overlap, shape)[:full[0], :full[1]]
+    match = np.fft.irfft2(match, shape)[:full[0], :full[1]]
+    return np.rint(overlap, out=overlap), np.rint(match, out=match)
 
 
 def localize(global_map: OccupancyMap, partial: OccupancyMap,
@@ -263,6 +308,8 @@ def localize(global_map: OccupancyMap, partial: OccupancyMap,
     the two maps (plus quarter-turn fallbacks); for each, every translation at
     cell resolution is scored as matching / overlapping known cells. Ties keep
     the smallest (rotation, dy, dx), so the search is fully deterministic.
+    Each map's wall angles are found once, and the global map's spectra are
+    shared by every rotation (``_placement_counts``).
     """
     if partial.known_count() < cfg.min_known:
         raise ValueError(
@@ -273,20 +320,20 @@ def localize(global_map: OccupancyMap, partial: OccupancyMap,
     min_overlap = max(cfg.min_known,
                       int(math.ceil(cfg.min_overlap_frac * partial.known_count())))
 
-    kg = (global_map.grid != UNKNOWN).astype(np.float64)
-    fg = (global_map.grid == FREE).astype(np.float64)
-    og = (global_map.grid == OCCUPIED).astype(np.float64)
+    rotations = {0, 90, 180, 270}
+    global_angles = _wall_angles(global_map, cfg)
+    partial_angles = _wall_angles(partial, cfg) if global_angles else []
+    for tg in global_angles:
+        for tp in partial_angles:
+            d = int(round((tg - tp) % 180.0))
+            rotations.update((d % 360, (d + 180) % 360))
+    rotated = [(rot, _rotate_map(partial, rot)) for rot in sorted(rotations)]
+    rotated = [(rot, r) for rot, r in rotated if (r.grid != UNKNOWN).any()]
 
     best_score = -1.0
     best = None
-    for rot in _candidate_rotations(global_map, partial, cfg):
-        r = _rotate_map(partial, rot)
-        kp = (r.grid != UNKNOWN).astype(np.float64)
-        if not kp.any():
-            continue
-        overlap = _fft_xcorr(kg, kp)
-        match = (_fft_xcorr(fg, (r.grid == FREE).astype(np.float64))
-                 + _fft_xcorr(og, (r.grid == OCCUPIED).astype(np.float64)))
+    counts = _placement_counts(global_map.grid, [r.grid for _, r in rotated]) if rotated else []
+    for (rot, r), (overlap, match) in zip(rotated, counts):
         valid = overlap >= min_overlap
         if not valid.any():
             continue
@@ -337,6 +384,27 @@ def map_to_bytes(m: OccupancyMap) -> bytes:
     return header.encode("ascii") + b"\n" + body
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _check_header(header):
+    """Raise ValueError naming the first header field that is missing or mistyped."""
+    if not isinstance(header, dict):
+        raise ValueError("malformed map header: expected a JSON object")
+    for key in ("cell_cm", "origin", "width", "height"):
+        if key not in header:
+            raise ValueError(f"malformed map header: missing {key!r}")
+    if not _is_number(header["cell_cm"]):
+        raise ValueError("malformed map header: 'cell_cm' must be a number")
+    origin = header["origin"]
+    if not (isinstance(origin, list) and len(origin) == 2 and all(map(_is_number, origin))):
+        raise ValueError("malformed map header: 'origin' must be a pair of numbers")
+    for key in ("width", "height"):
+        if not isinstance(header[key], int) or isinstance(header[key], bool):
+            raise ValueError(f"malformed map header: {key!r} must be an integer")
+
+
 def map_from_bytes(data: bytes) -> OccupancyMap:
     newline = data.find(b"\n")
     if newline < 0:
@@ -345,6 +413,7 @@ def map_from_bytes(data: bytes) -> OccupancyMap:
         header = json.loads(data[:newline].decode("ascii"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"malformed map header: {exc}") from None
+    _check_header(header)
     raster = read_pnm(data[newline + 1:])
     if raster.width != header["width"] or raster.height != header["height"]:
         raise ValueError("map header dimensions do not match the grid body")

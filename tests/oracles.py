@@ -2,10 +2,13 @@
 
 Everything here is written as plainly as possible (literal loops, direct
 formulas, dense solvers) and deliberately shares no code with the package
-beyond its result types.
+beyond its result types. The one exception is ``per_rotation_localize``, which
+reuses the map rotation and wall-angle helpers the fast search also calls: it
+checks how the search shares work across rotations, not those helpers.
 """
 
 import heapq
+import math
 from collections import deque
 from itertools import count
 
@@ -13,6 +16,16 @@ import numpy as np
 
 from rovercv.detector import Detection
 from rovercv.geometry import Contour, HoughLine
+from rovercv.mapping import (
+    FREE,
+    OCCUPIED,
+    UNKNOWN,
+    LocalizeConfig,
+    LocalizeResult,
+    Pose,
+    _rotate_map,
+    _wall_angles,
+)
 from rovercv.segmentation import LabelMask, WatershedResult
 
 _N4 = ((-1, 0), (1, 0), (0, -1), (0, 1))
@@ -373,3 +386,74 @@ def per_component_boxes(values):
         ))
     boxes.sort(key=lambda d: (-d.score, d.y, d.x))
     return boxes
+
+
+def _fft_xcorr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full 2-D cross-correlation of small 0/1 grids, made exact by rounding.
+
+    out[dy + hb - 1, dx + wb - 1] = sum over (i, j) of a[i+dy, j+dx] * b[i, j].
+    """
+    sh = (a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1)
+    fa = np.fft.rfft2(a, sh)
+    fb = np.fft.rfft2(b[::-1, ::-1], sh)
+    cc = np.fft.irfft2(fa * fb, sh)
+    return np.rint(cc).astype(np.int64)
+
+
+def _candidate_rotations(global_map, partial, cfg) -> list:
+    cands = {0, 90, 180, 270}
+    for tg in _wall_angles(global_map, cfg):
+        for tp in _wall_angles(partial, cfg):
+            d = (tg - tp) % 180.0
+            cands.add(int(round(d)) % 360)
+            cands.add((int(round(d)) + 180) % 360)
+    return sorted(cands)
+
+
+def per_rotation_localize(global_map, partial, cfg=LocalizeConfig()) -> LocalizeResult:
+    """The localization search with three FFT correlations per candidate rotation,
+    each transforming both of its grids, and the partial's wall angles recomputed
+    for every wall angle of the global map."""
+    if partial.known_count() < cfg.min_known:
+        raise ValueError(
+            f"insufficient map content: {partial.known_count()} known cells, "
+            f"need {cfg.min_known}")
+    if abs(global_map.cell_cm - partial.cell_cm) > 1e-9:
+        raise ValueError("maps must share one cell size")
+    min_overlap = max(cfg.min_known,
+                      int(math.ceil(cfg.min_overlap_frac * partial.known_count())))
+
+    kg = (global_map.grid != UNKNOWN).astype(np.float64)
+    fg = (global_map.grid == FREE).astype(np.float64)
+    og = (global_map.grid == OCCUPIED).astype(np.float64)
+
+    best_score = -1.0
+    best = None
+    for rot in _candidate_rotations(global_map, partial, cfg):
+        r = _rotate_map(partial, rot)
+        kp = (r.grid != UNKNOWN).astype(np.float64)
+        if not kp.any():
+            continue
+        overlap = _fft_xcorr(kg, kp)
+        match = (_fft_xcorr(fg, (r.grid == FREE).astype(np.float64))
+                 + _fft_xcorr(og, (r.grid == OCCUPIED).astype(np.float64)))
+        valid = overlap >= min_overlap
+        if not valid.any():
+            continue
+        scores = np.where(valid, match / np.maximum(overlap, 1), -1.0)
+        idx = int(np.argmax(scores))
+        score = float(scores.flat[idx])
+        if score > best_score:
+            ay, ax = divmod(idx, scores.shape[1])
+            dy = ay - (r.height - 1)
+            dx = ax - (r.width - 1)
+            c = global_map.cell_cm
+            best = Pose(x=global_map.origin[0] + dx * c - r.origin[0],
+                        y=global_map.origin[1] + dy * c - r.origin[1],
+                        theta=float(rot))
+            best_score = score
+
+    if best is None or best_score < cfg.min_score:
+        raise ValueError(f"ambiguous localization: best score {max(best_score, 0.0):.3f} "
+                         f"below {cfg.min_score}")
+    return LocalizeResult(pose=best, score=best_score)

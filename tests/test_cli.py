@@ -250,3 +250,63 @@ def test_parser_dest_not_read_from_config_rejected(tmp_path, capsys, key):
     cfg.write_text(json.dumps({"k": 2, key: "x"}))
     assert run(["--config", str(cfg), "smooth", "whatever.csv"]) == 2
     assert f"config error: unknown keys ['{key}']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, config, key", [
+    (["localize", "g.rmap", "p.rmap"], {"min_known": -3}, "min_known"),
+    (["localize", "g.rmap", "p.rmap"], {"localize_min_score": -1}, "localize_min_score"),
+    (["localize", "g.rmap", "p.rmap"], {"min_overlap_frac": 2}, "min_overlap_frac"),
+    (["train", "features.csv"], {"epochs": 0}, "epochs"),
+    (["train", "features.csv"], {"epochs": 2.5}, "epochs"),
+    (["segment", "scene.pnm"], {"method": "sobel"}, "method"),
+])
+def test_bad_config_value_exits_two(tmp_path, capsys, command, config, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["--config", str(cfg)] + command) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {key}: ")
+
+
+def test_config_value_overridden_on_command_line_not_checked(tmp_path, capsys):
+    src = tmp_path / "angles.csv"
+    src.write_text("frame_id,angle_deg\nf0,3.0\n")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lam": -1}))
+    out = tmp_path / "smoothed.csv"
+    assert run(["--config", str(cfg), "smooth", str(src), "--lambda", "1",
+                "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("flag", ["--min-score", "--min-overlap-frac"])
+@pytest.mark.parametrize("value", ["1.5", "-0.1"])
+def test_localize_fractions_outside_unit_interval_exit_two(tmp_path, capsys, flag, value):
+    # rejected by the parser, before either map file is read
+    assert run(["localize", str(tmp_path / "g.rmap"), str(tmp_path / "p.rmap"),
+                flag, value]) == 2
+    assert "is not in [0, 1]" in capsys.readouterr().err
+
+
+def test_detect_min_score_may_exceed_one(tmp_path, capsys):
+    # an SVM margin, not a fraction: the parser accepts it and the missing
+    # frame directory is what fails
+    assert run(["detect", str(tmp_path / "frames"), str(tmp_path / "m.json"),
+                "--min-score", "1.5"]) == 1
+
+
+@pytest.mark.parametrize("header, message", [
+    ([1, 2], "expected a JSON object"),
+    ({"cell_cm": 2.0, "origin": 5, "width": 4, "height": 4},
+     "'origin' must be a pair of numbers"),
+    ({"cell_cm": 2.0, "origin": [0.0, 0.0], "height": 4}, "missing 'width'"),
+])
+def test_localize_malformed_map_header_exits_one(tmp_path, capsys, header, message):
+    grid = np.full((4, 4), 1, dtype=np.uint8)
+    good = tmp_path / "good.rmap"
+    good.write_bytes(map_to_bytes(OccupancyMap(cell_cm=2.0, origin=(0.0, 0.0), grid=grid)))
+    data = good.read_bytes()
+    bad = tmp_path / "bad.rmap"
+    bad.write_bytes(json.dumps(header).encode("ascii") + data[data.index(b"\n"):])
+    out = tmp_path / "pose.json"
+    assert run(["localize", str(good), str(bad), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: malformed map header: {message}\n"
+    assert not out.exists()

@@ -1,9 +1,14 @@
+import json
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from oracles import per_rotation_localize
 from scenes import corridor_frame
+from rovercv import mapping
 from rovercv.mapping import (
     FREE,
     OCCUPIED,
@@ -13,7 +18,10 @@ from rovercv.mapping import (
     LocalizeConfig,
     OccupancyMap,
     Pose,
+    _placement_counts,
     _rot90_map,
+    _rotate_map,
+    _smooth_size,
     advance_pose,
     explore_step,
     localize,
@@ -197,6 +205,155 @@ class TestLocalize:
             localize(world, partial)
 
 
+def tri_state(rng, shape, p_known, p_occ):
+    known = rng.random(shape) < p_known
+    occ = rng.random(shape) < p_occ
+    return np.where(known, np.where(occ, OCCUPIED, FREE), UNKNOWN).astype(np.uint8)
+
+
+def draw_wall(grid, angle_deg, offset):
+    """Mark an occupied straight wall through the grid at an arbitrary angle."""
+    h, w = grid.shape
+    rad = math.radians(angle_deg)
+    t = np.linspace(-(h + w), h + w, 4 * (h + w))
+    ys = np.round(h / 2 + offset + t * math.sin(rad)).astype(np.int64)
+    xs = np.round(w / 2 + t * math.cos(rad)).astype(np.int64)
+    keep = (ys >= 0) & (ys < h) & (xs >= 0) & (xs < w)
+    grid[ys[keep], xs[keep]] = OCCUPIED
+
+
+@st.composite
+def localize_cases(draw):
+    """Random tri-state global and partial maps with a random search config.
+
+    The partial is a rotated cutout of the global map (any whole-degree
+    rotation), an unrelated random map, a map without OCCUPIED or without FREE
+    cells, or all FREE over an all-FREE global map, where every placement ties.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gh, gw = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(("cutout", "random", "free_only", "occupied_only", "uniform")))
+    if kind == "uniform":
+        world = np.full((gh, gw), FREE, dtype=np.uint8)
+    else:
+        world = tri_state(rng, (gh, gw), draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 0.5)))
+        for _ in range(draw(st.integers(0, 2))):
+            draw_wall(world, draw(st.floats(0.0, 180.0)), draw(st.integers(-10, 10)))
+    origin = (draw(st.floats(-50.0, 50.0)), draw(st.floats(-50.0, 50.0)))
+    cell = draw(st.sampled_from((1.0, 2.0, 2.5)))
+    global_map = OccupancyMap(cell_cm=cell, origin=origin, grid=world)
+
+    if kind == "cutout":
+        r0, c0 = draw(st.integers(0, gh - 1)), draw(st.integers(0, gw - 1))
+        rows, cols = draw(st.integers(1, gh - r0)), draw(st.integers(1, gw - c0))
+        part = OccupancyMap(cell_cm=cell, origin=(0.0, 0.0),
+                            grid=world[r0:r0 + rows, c0:c0 + cols].copy())
+        part = _rotate_map(part, draw(st.integers(0, 359)))
+    else:
+        shape = (draw(st.integers(1, 30)), draw(st.integers(1, 30)))
+        p_occ = {"free_only": 0.0, "occupied_only": 1.0}.get(kind, draw(st.floats(0.0, 0.5)))
+        grid = tri_state(rng, shape, draw(st.floats(0.2, 1.0)), p_occ)
+        if kind == "uniform":
+            grid[grid == OCCUPIED] = FREE
+        part = OccupancyMap(cell_cm=draw(st.sampled_from((cell,) * 5 + (3.0,))),
+                            origin=(draw(st.floats(-20.0, 20.0)), 0.0), grid=grid)
+
+    cfg = LocalizeConfig(min_known=draw(st.integers(0, 3) | st.integers(0, 60)),
+                         min_score=draw(st.just(0.0) | st.floats(0.0, 1.0)),
+                         wall_min_votes=draw(st.integers(1, 8)),
+                         top_angles=draw(st.integers(1, 3)),
+                         min_overlap_frac=draw(st.floats(0.0, 0.3) | st.floats(0.0, 1.0)))
+    return global_map, part, cfg
+
+
+def direct_counts(g, p):
+    """Overlap and match counts of every placement, summed cell by cell."""
+    gh, gw = g.shape
+    h, w = p.shape
+    overlap = np.zeros((gh + h - 1, gw + w - 1))
+    match = np.zeros_like(overlap)
+    for ay in range(gh + h - 1):
+        for ax in range(gw + w - 1):
+            dy, dx = ay - (h - 1), ax - (w - 1)
+            i0, i1 = max(0, -dy), min(h, gh - dy)
+            j0, j1 = max(0, -dx), min(w, gw - dx)
+            pg = p[i0:i1, j0:j1]
+            gg = g[i0 + dy:i1 + dy, j0 + dx:j1 + dx]
+            both = (pg != UNKNOWN) & (gg != UNKNOWN)
+            overlap[ay, ax] = both.sum()
+            match[ay, ax] = (both & (pg == gg)).sum()
+    return overlap, match
+
+
+class TestSharedSpectraSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(localize_cases())
+    def test_matches_per_rotation_oracle(self, case):
+        global_map, part, cfg = case
+        try:
+            expected = per_rotation_localize(global_map, part, cfg)
+        except ValueError as exc:
+            event(str(exc).split(":")[0])
+            with pytest.raises(ValueError) as got:
+                localize(global_map, part, cfg)
+            assert str(got.value) == str(exc)
+        else:
+            event(f"localized, theta {'on' if expected.pose.theta % 90 == 0 else 'off'} "
+                  "the quarter turns")
+            assert localize(global_map, part, cfg) == expected
+
+    def test_min_overlap_above_global_known_count(self):
+        # 225 partial cells must overlap, but the global map has only 144
+        world = OccupancyMap(cell_cm=2.0, origin=(0.0, 0.0),
+                             grid=np.full((12, 12), FREE, dtype=np.uint8))
+        part = OccupancyMap(cell_cm=2.0, origin=(0.0, 0.0),
+                            grid=np.full((15, 15), FREE, dtype=np.uint8))
+        cfg = LocalizeConfig(min_known=200, min_score=0.0, min_overlap_frac=1.0)
+        with pytest.raises(ValueError, match="ambiguous localization: best score 0.000"):
+            localize(world, part, cfg)
+        with pytest.raises(ValueError, match="ambiguous localization: best score 0.000"):
+            per_rotation_localize(world, part, cfg)
+
+    @pytest.mark.parametrize("global_shape, partial_shapes", [
+        ((1, 31), [(1, 7), (1, 1), (3, 2)]),
+        ((97, 89), [(7, 5), (1, 13), (11, 2)]),
+        ((5, 3), [(9, 11)]),
+    ])
+    def test_counts_equal_direct_sums(self, global_shape, partial_shapes):
+        rng = np.random.default_rng(sum(global_shape))
+        g = tri_state(rng, global_shape, 0.7, 0.4)
+        parts = [tri_state(rng, shape, 0.8, 0.4) for shape in partial_shapes]
+        for p, (overlap, match) in zip(parts, _placement_counts(g, parts), strict=True):
+            want_overlap, want_match = direct_counts(g, p)
+            assert np.array_equal(overlap, want_overlap)
+            assert np.array_equal(match, want_match)
+
+    def test_smooth_size(self):
+        smooth = [2**a * 3**b * 5**c for a in range(9) for b in range(6) for c in range(4)]
+        for n in range(1, 257):
+            assert _smooth_size(n) == min(m for m in smooth if m >= n)
+
+    def test_wall_angles_found_once_per_map(self, monkeypatch):
+        seen = []
+        real = mapping.hough_lines
+
+        def counting(raster, **kwargs):
+            seen.append(raster.pixels.shape)
+            return real(raster, **kwargs)
+
+        monkeypatch.setattr(mapping, "hough_lines", counting)
+        world = make_global_map(seed=3)
+        part = _rotate_map(cutout(world, 25, 40, 48, 42), 30)
+        assert localize(world, part).score > 0.9
+        assert seen == [world.grid.shape, part.grid.shape]
+
+    @pytest.mark.parametrize("field", ["min_score", "min_overlap_frac"])
+    @pytest.mark.parametrize("value", [-0.1, 1.5, float("nan")])
+    def test_fractions_outside_unit_interval_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must lie in \\[0, 1\\]"):
+            LocalizeConfig(**{field: value})
+
+
 class TestExplore:
     def test_zero_motion_idempotent(self):
         frame = corridor_frame()
@@ -239,3 +396,20 @@ class TestSerialization:
         corrupted = data[:-1] + bytes([7])
         with pytest.raises(ValueError, match="invalid map cell value"):
             map_from_bytes(corrupted)
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda h: [1, 2], "expected a JSON object"),
+        (lambda h: {**h, "origin": 5}, "'origin' must be a pair of numbers"),
+        (lambda h: {**h, "origin": [1.0]}, "'origin' must be a pair of numbers"),
+        (lambda h: {k: v for k, v in h.items() if k != "width"}, "missing 'width'"),
+        (lambda h: {k: v for k, v in h.items() if k != "cell_cm"}, "missing 'cell_cm'"),
+        (lambda h: {**h, "cell_cm": "2"}, "'cell_cm' must be a number"),
+        (lambda h: {**h, "height": 8.0}, "'height' must be an integer"),
+    ])
+    def test_malformed_header_rejected(self, edit, field):
+        data = map_to_bytes(make_global_map(seed=5, size=8))
+        newline = data.index(b"\n")
+        header = edit(json.loads(data[:newline]))
+        bad = json.dumps(header).encode("ascii") + data[newline:]
+        with pytest.raises(ValueError, match=f"malformed map header: {field}"):
+            map_from_bytes(bad)
