@@ -6,6 +6,7 @@ configuration error. No output file is written when the exit code is nonzero.
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -43,39 +44,25 @@ class UsageError(Exception):
     """Bad parameters or configuration; maps to exit code 2."""
 
 
-def _positive_float(text):
-    value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"{text} is not positive")
-    return value
+def _ranged(parse, ok, what):
+    """An argparse type: ``parse`` the text, then require ``ok`` of its value."""
+
+    def check(text):
+        value = parse(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text} is not {what}")
+        return value
+
+    check.__name__ = parse.__name__  # named in argparse's "invalid float value" errors
+    return check
 
 
-def _nonneg_float(text):
-    value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{text} is negative")
-    return value
-
-
-def _unit_float(text):
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"{text} is not in [0, 1]")
-    return value
-
-
-def _positive_int(text):
-    value = int(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"{text} is not positive")
-    return value
-
-
-def _nonneg_int(text):
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{text} is negative")
-    return value
+# nan fails every comparison, so the float ranges reject it along with inf
+_positive_float = _ranged(float, lambda v: 0 < v < math.inf, "a finite positive number")
+_nonneg_float = _ranged(float, lambda v: 0 <= v < math.inf, "a finite non-negative number")
+_unit_float = _ranged(float, lambda v: 0 <= v <= 1, "in [0, 1]")
+_positive_int = _ranged(int, lambda v: v > 0, "positive")
+_nonneg_int = _ranged(int, lambda v: v >= 0, "non-negative")
 
 
 def _build_parser(defaults: dict) -> argparse.ArgumentParser:

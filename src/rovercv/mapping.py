@@ -9,12 +9,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import hough_lines
 from .raster import Raster, read_pnm, write_pnm
 from .segmentation import LabelMask, SegmentConfig, segment_floor
 
 UNKNOWN, FREE, OCCUPIED = 0, 1, 2
 _STATE_TO_PNM = np.array([128, 255, 0], dtype=np.uint8)
+# localize scores every _COARSE_STEP_DEG-th degree on grids pooled _POOL x _POOL,
+# then re-scores the _KEEP best, and each degree within a step of them, unpooled
+_COARSE_STEP_DEG, _POOL, _KEEP = 2, 2, 4
 
 
 @dataclass(frozen=True)
@@ -39,8 +41,8 @@ class OccupancyMap:
     grid: np.ndarray
 
     def __post_init__(self):
-        if self.cell_cm <= 0:
-            raise ValueError("cell size must be positive")
+        if not 0 < self.cell_cm < math.inf:
+            raise ValueError("cell size must be positive and finite")
         g = np.asarray(self.grid, dtype=np.uint8)
         if g.ndim != 2:
             raise ValueError("grid must be 2-D")
@@ -204,8 +206,6 @@ def _rotate_map(m: OccupancyMap, deg: float) -> OccupancyMap:
 class LocalizeConfig:
     min_known: int = 50
     min_score: float = 0.6
-    wall_min_votes: int = 5
-    top_angles: int = 3
     # placements are scored only where at least this fraction of the partial's
     # known cells lands on known global cells (floored by min_known); sliver
     # overlaps would otherwise win on luck, and frontier placements by hiding
@@ -223,20 +223,6 @@ class LocalizeConfig:
 class LocalizeResult:
     pose: Pose
     score: float
-
-
-def _wall_angles(m: OccupancyMap, cfg: LocalizeConfig) -> list:
-    occ = m.grid == OCCUPIED
-    if not occ.any():
-        return []
-    raster = Raster((occ * 255).astype(np.uint8))
-    angles = []
-    for ln in hough_lines(raster, min_votes=cfg.wall_min_votes):
-        if ln.theta_deg not in angles:
-            angles.append(ln.theta_deg)
-        if len(angles) >= cfg.top_angles:
-            break
-    return angles
 
 
 def _smooth_size(n: int) -> int:
@@ -257,13 +243,10 @@ def _placement_counts(global_grid: np.ndarray, partial_grids: list):
     For a partial of shape (h, w), both arrays have the full-correlation shape
     (H + h - 1, W + w - 1); entry [dy + h - 1, dx + w - 1] counts the partial's
     cells (i, j) landing on global cell (i + dy, j + dx) that are known in both
-    grids (overlap) and that hold the same known state (match). The counts are
-    exact integers held as floats.
-
-    The global grid is transformed once, on one 2·3·5-smooth FFT shape that
-    covers the largest placement extent: its OCCUPIED cells, and its FREE cells,
-    whose spectrum plus OCCUPIED's is the spectrum of its KNOWN cells. Each
-    partial then costs two forward and two inverse FFTs (``_counts``).
+    grids (overlap) and that hold the same known state (match), as exact
+    integers held as floats. The global FREE and OCCUPIED grids are transformed
+    once, on one 2·3·5-smooth FFT shape covering the largest placement extent;
+    each partial then costs two forward and two inverse FFTs (``_counts``).
     """
     gh, gw = global_grid.shape
     shape = (_smooth_size(gh + max(g.shape[0] for g in partial_grids) - 1),
@@ -300,60 +283,81 @@ def _counts(g_known, g_occ, grid, shape, full):
     return np.rint(overlap, out=overlap), np.rint(match, out=match)
 
 
-def localize(global_map: OccupancyMap, partial: OccupancyMap,
-             cfg: LocalizeConfig = LocalizeConfig()) -> LocalizeResult:
-    """Find the rigid transform placing the partial map onto the global map.
+def _pool(grid: np.ndarray) -> np.ndarray:
+    """Pool _POOL x _POOL blocks (ragged edges padded UNKNOWN): OCCUPIED if any
+    cell is, else FREE if any is. UNKNOWN < FREE < OCCUPIED, so that is a max."""
+    g = np.pad(grid, ((0, -grid.shape[0] % _POOL), (0, -grid.shape[1] % _POOL)))
+    return g.reshape(g.shape[0] // _POOL, _POOL, -1, _POOL).max(axis=(1, 3))
 
-    Candidate rotations come from differences of the dominant wall angles of
-    the two maps (plus quarter-turn fallbacks); for each, every translation at
-    cell resolution is scored as matching / overlapping known cells. Ties keep
-    the smallest (rotation, dy, dx), so the search is fully deterministic.
-    Each map's wall angles are found once, and the global map's spectra are
-    shared by every rotation (``_placement_counts``).
-    """
-    if partial.known_count() < cfg.min_known:
-        raise ValueError(
-            f"insufficient map content: {partial.known_count()} known cells, "
-            f"need {cfg.min_known}")
-    if abs(global_map.cell_cm - partial.cell_cm) > 1e-9:
-        raise ValueError("maps must share one cell size")
-    min_overlap = max(cfg.min_known,
-                      int(math.ceil(cfg.min_overlap_frac * partial.known_count())))
 
-    rotations = {0, 90, 180, 270}
-    global_angles = _wall_angles(global_map, cfg)
-    partial_angles = _wall_angles(partial, cfg) if global_angles else []
-    for tg in global_angles:
-        for tp in partial_angles:
-            d = int(round((tg - tp) % 180.0))
-            rotations.update((d % 360, (d + 180) % 360))
-    rotated = [(rot, _rotate_map(partial, rot)) for rot in sorted(rotations)]
-    rotated = [(rot, r) for rot, r in rotated if (r.grid != UNKNOWN).any()]
-
-    best_score = -1.0
-    best = None
-    counts = _placement_counts(global_map.grid, [r.grid for _, r in rotated]) if rotated else []
-    for (rot, r), (overlap, match) in zip(rotated, counts):
+def _best_placements(global_grid: np.ndarray, partial_grids: list, min_overlap: int):
+    """Yield each partial grid's best score and its first (ay, ax) index into the
+    ``_placement_counts`` arrays, over placements overlapping at least
+    min_overlap cells; (-1.0, None) when there are none."""
+    for overlap, match in _placement_counts(global_grid, partial_grids) if partial_grids else ():
         valid = overlap >= min_overlap
         if not valid.any():
+            yield -1.0, None
             continue
         scores = np.where(valid, match / np.maximum(overlap, 1), -1.0)
         idx = int(np.argmax(scores))
-        score = float(scores.flat[idx])
+        yield float(scores.flat[idx]), divmod(idx, scores.shape[1])
+
+
+def _required_overlap(global_map: OccupancyMap, partial: OccupancyMap,
+                      cfg: LocalizeConfig) -> int:
+    """Check that the maps can be matched; return the overlap a placement needs."""
+    if partial.known_count() < cfg.min_known:
+        raise ValueError(f"insufficient map content: {partial.known_count()} known cells, "
+                         f"need {cfg.min_known}")
+    if abs(global_map.cell_cm - partial.cell_cm) > 1e-9:
+        raise ValueError("maps must share one cell size")
+    return max(cfg.min_known, int(math.ceil(cfg.min_overlap_frac * partial.known_count())))
+
+
+def _localize_at(global_map: OccupancyMap, partial: OccupancyMap, cfg: LocalizeConfig,
+                 rotations: list) -> LocalizeResult:
+    """The best placement at full resolution over the rotations, in the given order."""
+    min_overlap = _required_overlap(global_map, partial, cfg)
+    rotated = [(rot, _rotate_map(partial, rot)) for rot in rotations]
+    rotated = [(rot, r) for rot, r in rotated if (r.grid != UNKNOWN).any()]
+    best_score, best = -1.0, None
+    placements = _best_placements(global_map.grid, [r.grid for _, r in rotated], min_overlap)
+    for (rot, r), (score, at) in zip(rotated, placements):
         if score > best_score:
-            ay, ax = divmod(idx, scores.shape[1])
-            dy = ay - (r.height - 1)
-            dx = ax - (r.width - 1)
+            dy = at[0] - (r.height - 1)
+            dx = at[1] - (r.width - 1)
             c = global_map.cell_cm
             best = Pose(x=global_map.origin[0] + dx * c - r.origin[0],
                         y=global_map.origin[1] + dy * c - r.origin[1],
                         theta=float(rot))
             best_score = score
-
     if best is None or best_score < cfg.min_score:
         raise ValueError(f"ambiguous localization: best score {max(best_score, 0.0):.3f} "
                          f"below {cfg.min_score}")
     return LocalizeResult(pose=best, score=best_score)
+
+
+def localize(global_map: OccupancyMap, partial: OccupancyMap,
+             cfg: LocalizeConfig = LocalizeConfig()) -> LocalizeResult:
+    """Find the rigid transform placing the partial map onto the global map.
+
+    A placement is a whole-degree rotation of the partial plus a whole-cell
+    translation, scored as matching / overlapping known cells. The rotations
+    are searched coarse to fine (correlative scan matching): every second
+    degree is scored on both grids pooled 2x2, with the overlap threshold in
+    pooled cells, then the 4 best and each degree within 2 of them are
+    re-scored at full resolution, where ties keep the smallest (rotation, dy, dx).
+    """
+    min_overlap = _required_overlap(global_map, partial, cfg)
+    coarse = range(0, 360, _COARSE_STEP_DEG)
+    pooled = [_pool(_rotate_map(partial, rot).grid) for rot in coarse]
+    scores = [score for score, _ in _best_placements(
+        _pool(global_map.grid), pooled, -(-min_overlap // _POOL ** 2))]
+    kept = sorted(range(len(coarse)), key=lambda k: (-scores[k], k))[:_KEEP]
+    step = _COARSE_STEP_DEG
+    fine = sorted({(coarse[k] + d) % 360 for k in kept for d in range(-step, step + 1)})
+    return _localize_at(global_map, partial, cfg, fine)
 
 
 @dataclass(frozen=True)

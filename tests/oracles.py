@@ -3,8 +3,9 @@
 Everything here is written as plainly as possible (literal loops, direct
 formulas, dense solvers) and deliberately shares no code with the package
 beyond its result types. The one exception is ``per_rotation_localize``, which
-reuses the map rotation and wall-angle helpers the fast search also calls: it
-checks how the search shares work across rotations, not those helpers.
+reuses the map rotation the fast search also calls: it checks how the
+full-resolution scoring shares work across a given set of rotations, not the
+rotation itself.
 """
 
 import heapq
@@ -20,11 +21,9 @@ from rovercv.mapping import (
     FREE,
     OCCUPIED,
     UNKNOWN,
-    LocalizeConfig,
     LocalizeResult,
     Pose,
     _rotate_map,
-    _wall_angles,
 )
 from rovercv.segmentation import LabelMask, WatershedResult
 
@@ -400,20 +399,9 @@ def _fft_xcorr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.rint(cc).astype(np.int64)
 
 
-def _candidate_rotations(global_map, partial, cfg) -> list:
-    cands = {0, 90, 180, 270}
-    for tg in _wall_angles(global_map, cfg):
-        for tp in _wall_angles(partial, cfg):
-            d = (tg - tp) % 180.0
-            cands.add(int(round(d)) % 360)
-            cands.add((int(round(d)) + 180) % 360)
-    return sorted(cands)
-
-
-def per_rotation_localize(global_map, partial, cfg=LocalizeConfig()) -> LocalizeResult:
-    """The localization search with three FFT correlations per candidate rotation,
-    each transforming both of its grids, and the partial's wall angles recomputed
-    for every wall angle of the global map."""
+def per_rotation_localize(global_map, partial, cfg, rotations) -> LocalizeResult:
+    """The localization search over the given rotations, in order, with three FFT
+    correlations per rotation, each transforming both of its grids."""
     if partial.known_count() < cfg.min_known:
         raise ValueError(
             f"insufficient map content: {partial.known_count()} known cells, "
@@ -429,7 +417,7 @@ def per_rotation_localize(global_map, partial, cfg=LocalizeConfig()) -> Localize
 
     best_score = -1.0
     best = None
-    for rot in _candidate_rotations(global_map, partial, cfg):
+    for rot in rotations:
         r = _rotate_map(partial, rot)
         kp = (r.grid != UNKNOWN).astype(np.float64)
         if not kp.any():

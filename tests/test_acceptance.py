@@ -5,6 +5,7 @@ lines; every tolerance and time budget is asserted, not just printed.
 """
 
 import json
+import math
 import time
 from pathlib import Path
 
@@ -50,6 +51,7 @@ from rovercv.mapping import (
     FREE,
     OccupancyMap,
     Pose,
+    UNKNOWN,
     _rot90_map,
     advance_pose,
     explore_step,
@@ -242,6 +244,30 @@ def test_c07_lane_fixture():
     _report(7, "20 road frames: endpoints within 3 px, mirror symmetry exact")
 
 
+def _obstacle_room(rng):
+    """Obstacle-dense 120x120 room: every candidate window must contain distinctive
+    structure, otherwise featureless cutouts are genuinely ambiguous."""
+    grid = np.full((120, 120), FREE, dtype=np.uint8)
+    grid[0, :] = grid[-1, :] = 2
+    grid[:, 0] = grid[:, -1] = 2
+    for _ in range(30):
+        yy = int(rng.integers(4, 108))
+        xx = int(rng.integers(4, 108))
+        grid[yy:yy + int(rng.integers(3, 9)), xx:xx + int(rng.integers(3, 9))] = 2
+    return OccupancyMap(cell_cm=2.0, origin=(0.0, 0.0), grid=grid)
+
+
+def _room_cutout(rng, world):
+    """A random 40-59 cell window of the room as a map of its own, with its row and column."""
+    rows = int(rng.integers(40, 60))
+    cols = int(rng.integers(40, 60))
+    r0 = int(rng.integers(0, 120 - rows))
+    c0 = int(rng.integers(0, 120 - cols))
+    part = OccupancyMap(cell_cm=2.0, origin=(0.0, 0.0),
+                        grid=world.grid[r0:r0 + rows, c0:c0 + cols].copy())
+    return part, r0, c0
+
+
 def test_c08_mapping():
     # closed-loop dead reckoning
     pose = Pose(0, 0, 0)
@@ -265,24 +291,10 @@ def test_c08_mapping():
     assert corridor_rel <= 0.05
 
     # cutout localization at 0 and 90 degrees
-    # obstacle-dense room: every candidate window must contain distinctive
-    # structure, otherwise featureless cutouts are genuinely ambiguous
     rng = np.random.default_rng(1008)
-    grid = np.full((120, 120), FREE, dtype=np.uint8)
-    grid[0, :] = grid[-1, :] = 2
-    grid[:, 0] = grid[:, -1] = 2
-    for _ in range(30):
-        yy = int(rng.integers(4, 108))
-        xx = int(rng.integers(4, 108))
-        grid[yy:yy + int(rng.integers(3, 9)), xx:xx + int(rng.integers(3, 9))] = 2
-    world = OccupancyMap(cell_cm=2.0, origin=(0.0, 0.0), grid=grid)
+    world = _obstacle_room(rng)
     for trial in range(20):
-        rows = int(rng.integers(40, 60))
-        cols = int(rng.integers(40, 60))
-        r0 = int(rng.integers(0, 120 - rows))
-        c0 = int(rng.integers(0, 120 - cols))
-        part = OccupancyMap(cell_cm=2.0, origin=(0.0, 0.0),
-                            grid=world.grid[r0:r0 + rows, c0:c0 + cols].copy())
+        part, r0, c0 = _room_cutout(rng, world)
         rot = 90.0 if trial % 2 else 0.0
         if rot:
             part = _rot90_map(part, 3)
@@ -293,6 +305,45 @@ def test_c08_mapping():
         assert abs(res.pose.y - r0 * 2.0) <= 2.0, f"trial {trial}"
     _report(8, f"loop closure error {loop_err:.1e} cm; corridor length off by "
                f"{100 * corridor_rel:.1f}%; 20/20 cutouts localized at score 1.0")
+
+
+def _turned_cutout(world, r0, c0, rows, cols, heading):
+    """The room cutout at (r0, c0) as a robot at its lower corner facing
+    ``heading`` maps it: each cell of a grid in the robot's frame takes the state
+    of the room cell under its center, so the room is resampled once, as
+    stitching does, and cells off the cutout stay unknown."""
+    c = world.cell_cm
+    a = math.radians(heading)
+    corners = np.array([[0, 0], [cols, 0], [0, rows], [cols, rows]]) * c
+    fx = math.cos(a) * corners[:, 0] + math.sin(a) * corners[:, 1]
+    fy = -math.sin(a) * corners[:, 0] + math.cos(a) * corners[:, 1]
+    h = int(math.ceil((fy.max() - fy.min()) / c))
+    w = int(math.ceil((fx.max() - fx.min()) / c))
+    ii, jj = np.mgrid[0:h, 0:w]
+    qx, qy = fx.min() + (jj + 0.5) * c, fy.min() + (ii + 0.5) * c
+    col = c0 + np.floor((math.cos(a) * qx - math.sin(a) * qy) / c).astype(np.int64)
+    row = r0 + np.floor((math.sin(a) * qx + math.cos(a) * qy) / c).astype(np.int64)
+    inside = (row >= r0) & (row < r0 + rows) & (col >= c0) & (col < c0 + cols)
+    grid = np.full((h, w), UNKNOWN, dtype=np.uint8)
+    grid[inside] = world.grid[row[inside], col[inside]]
+    return OccupancyMap(cell_cm=c, origin=(fx.min(), fy.min()), grid=grid)
+
+
+def test_c08_off_quarter_localization():
+    # cutouts turned to whole-degree headings off the quarter turns: the
+    # rotation search must reach every whole degree, not only the quarter turns
+    rng = np.random.default_rng(1008)
+    world = _obstacle_room(rng)
+    worst_deg = worst_cm = 0.0
+    for trial in range(12):
+        part, r0, c0 = _room_cutout(rng, world)
+        heading = 90 * int(rng.integers(4)) + int(rng.integers(1, 90))
+        res = localize(world, _turned_cutout(world, r0, c0, *part.grid.shape, heading))
+        worst_deg = max(worst_deg, abs((res.pose.theta - heading + 180.0) % 360.0 - 180.0))
+        worst_cm = max(worst_cm, abs(res.pose.x - c0 * 2.0), abs(res.pose.y - r0 * 2.0))
+        assert worst_deg <= 1.0 and worst_cm < 2.0, f"trial {trial}, heading {heading}: {res}"
+    _report(8, f"12/12 off-quarter cutouts localized: heading within {worst_deg:.0f} deg, "
+               f"position within {worst_cm:.1f} cm")
 
 
 def test_c09_steering_smoothing():

@@ -176,6 +176,22 @@ def test_map_build_and_localize(tmp_path):
     assert pose["x"] == pytest.approx(world.origin[0] + c0 * world.cell_cm, abs=world.cell_cm)
     assert pose["y"] == pytest.approx(world.origin[1] + r0 * world.cell_cm, abs=world.cell_cm)
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_map_build_non_finite_cell_size_exits_two(tmp_path, capsys, value):
+    script = write_replay(tmp_path, [corridor_frame()] * 2, [(20.0, 0.0)] * 2)
+    out = tmp_path / "map.rmap"
+    assert run(["map-build", str(script), "--cell-cm", value, "--out", str(out)]) == 2
+    assert "argument --cell-cm: " in capsys.readouterr().err
+    assert not out.exists()
+
+def test_smooth_nan_lambda_exits_two(tmp_path, capsys):
+    src = tmp_path / "angles.csv"
+    src.write_text("frame_id,angle_deg\nf0,3.0\nf1,5.0\n")
+    out = tmp_path / "smoothed.csv"
+    assert run(["smooth", str(src), "--lambda", "nan", "--out", str(out)]) == 2
+    assert "argument --lambda: " in capsys.readouterr().err
+    assert not out.exists()
+
 def test_smooth_round_trip(tmp_path):
     src = tmp_path / "angles.csv"
     src.write_text("frame_id,angle_deg\n" +
@@ -259,6 +275,8 @@ def test_parser_dest_not_read_from_config_rejected(tmp_path, capsys, key):
     (["train", "features.csv"], {"epochs": 0}, "epochs"),
     (["train", "features.csv"], {"epochs": 2.5}, "epochs"),
     (["segment", "scene.pnm"], {"method": "sobel"}, "method"),
+    (["smooth", "angles.csv"], {"lam": float("nan")}, "lam"),
+    (["map-build", "replay.jsonl"], {"cell_cm": float("inf")}, "cell_cm"),
 ])
 def test_bad_config_value_exits_two(tmp_path, capsys, command, config, key):
     cfg = tmp_path / "cfg.json"

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from oracles import per_rotation_localize
 from scenes import corridor_frame
-from rovercv import mapping
 from rovercv.mapping import (
     FREE,
     OCCUPIED,
@@ -18,7 +17,9 @@ from rovercv.mapping import (
     LocalizeConfig,
     OccupancyMap,
     Pose,
+    _localize_at,
     _placement_counts,
+    _pool,
     _rot90_map,
     _rotate_map,
     _smooth_size,
@@ -260,8 +261,6 @@ def localize_cases(draw):
 
     cfg = LocalizeConfig(min_known=draw(st.integers(0, 3) | st.integers(0, 60)),
                          min_score=draw(st.just(0.0) | st.floats(0.0, 1.0)),
-                         wall_min_votes=draw(st.integers(1, 8)),
-                         top_angles=draw(st.integers(1, 3)),
                          min_overlap_frac=draw(st.floats(0.0, 0.3) | st.floats(0.0, 1.0)))
     return global_map, part, cfg
 
@@ -287,20 +286,46 @@ def direct_counts(g, p):
 
 class TestSharedSpectraSearch:
     @settings(max_examples=300, deadline=None)
-    @given(localize_cases())
-    def test_matches_per_rotation_oracle(self, case):
+    @given(localize_cases(), st.sets(st.integers(0, 359), max_size=6).map(sorted))
+    def test_matches_per_rotation_oracle(self, case, rotations):
         global_map, part, cfg = case
         try:
-            expected = per_rotation_localize(global_map, part, cfg)
+            expected = per_rotation_localize(global_map, part, cfg, rotations)
         except ValueError as exc:
             event(str(exc).split(":")[0])
             with pytest.raises(ValueError) as got:
-                localize(global_map, part, cfg)
+                _localize_at(global_map, part, cfg, rotations)
             assert str(got.value) == str(exc)
         else:
             event(f"localized, theta {'on' if expected.pose.theta % 90 == 0 else 'off'} "
                   "the quarter turns")
-            assert localize(global_map, part, cfg) == expected
+            assert _localize_at(global_map, part, cfg, rotations) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(localize_cases())
+    def test_localize_returns_the_best_placement_at_its_rotation(self, case):
+        # the rotations the coarse stage keeps are internal, but the pose found
+        # must be the oracle's best placement at its own rotation, and an error
+        # must be one the full-resolution stage raises
+        global_map, part, cfg = case
+        try:
+            res = localize(global_map, part, cfg)
+        except ValueError as exc:
+            event(str(exc).split(":")[0])
+            if not str(exc).startswith("ambiguous localization"):
+                with pytest.raises(ValueError) as got:
+                    per_rotation_localize(global_map, part, cfg, [])
+                assert str(got.value) == str(exc)
+        else:
+            event("localized")
+            assert res.pose.theta == int(res.pose.theta)
+            assert per_rotation_localize(global_map, part, cfg, [int(res.pose.theta)]) == res
+
+    def test_pool_keeps_the_strongest_state(self):
+        grid = np.array([[UNKNOWN, FREE, UNKNOWN],
+                         [OCCUPIED, UNKNOWN, UNKNOWN],
+                         [FREE, UNKNOWN, UNKNOWN]], dtype=np.uint8)
+        assert _pool(grid).tolist() == [[OCCUPIED, UNKNOWN], [FREE, UNKNOWN]]
 
     def test_min_overlap_above_global_known_count(self):
         # 225 partial cells must overlap, but the global map has only 144
@@ -312,7 +337,7 @@ class TestSharedSpectraSearch:
         with pytest.raises(ValueError, match="ambiguous localization: best score 0.000"):
             localize(world, part, cfg)
         with pytest.raises(ValueError, match="ambiguous localization: best score 0.000"):
-            per_rotation_localize(world, part, cfg)
+            per_rotation_localize(world, part, cfg, [0, 90])
 
     @pytest.mark.parametrize("global_shape, partial_shapes", [
         ((1, 31), [(1, 7), (1, 1), (3, 2)]),
@@ -332,20 +357,6 @@ class TestSharedSpectraSearch:
         smooth = [2**a * 3**b * 5**c for a in range(9) for b in range(6) for c in range(4)]
         for n in range(1, 257):
             assert _smooth_size(n) == min(m for m in smooth if m >= n)
-
-    def test_wall_angles_found_once_per_map(self, monkeypatch):
-        seen = []
-        real = mapping.hough_lines
-
-        def counting(raster, **kwargs):
-            seen.append(raster.pixels.shape)
-            return real(raster, **kwargs)
-
-        monkeypatch.setattr(mapping, "hough_lines", counting)
-        world = make_global_map(seed=3)
-        part = _rotate_map(cutout(world, 25, 40, 48, 42), 30)
-        assert localize(world, part).score > 0.9
-        assert seen == [world.grid.shape, part.grid.shape]
 
     @pytest.mark.parametrize("field", ["min_score", "min_overlap_frac"])
     @pytest.mark.parametrize("value", [-0.1, 1.5, float("nan")])
@@ -390,6 +401,11 @@ class TestSerialization:
         assert again.cell_cm == world.cell_cm
         assert again.origin == world.origin
         assert (again.grid == world.grid).all()
+
+    @pytest.mark.parametrize("cell_cm", [0.0, -2.0, float("nan"), float("inf")])
+    def test_cell_size_must_be_positive_and_finite(self, cell_cm):
+        with pytest.raises(ValueError, match="cell size must be positive and finite"):
+            OccupancyMap(cell_cm=cell_cm, origin=(0.0, 0.0), grid=np.zeros((2, 2), np.uint8))
 
     def test_bad_cell_value_rejected(self):
         data = map_to_bytes(make_global_map(seed=5, size=8))
