@@ -2,7 +2,6 @@
 detection pipeline.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,16 +87,19 @@ def _peaks(acc: np.ndarray, min_votes: int):
 
 @dataclass(frozen=True)
 class _Votes:
-    """The on-pixels (``xy``: float rows x, y) and, per theta column, how many of
-    them vote in each rho bin or below (``ends``: the accumulator summed down
-    its rows). ``diag`` bounds every pixel's distance from the origin."""
+    """The on-pixels (``xy``: float rows x, y; ``terms``: int64 rows x, y, x^2,
+    y^2, xy) and, per theta column, how many of them vote in each rho bin or
+    below (``ends``: the accumulator summed down its rows). ``diag`` bounds
+    every pixel's distance from the origin, ``c_max`` every coordinate."""
 
     xy: np.ndarray
+    terms: np.ndarray
     ends: np.ndarray
     theta_res: float
     rho_res: float
     offs: int
     diag: float
+    c_max: int
 
     def order(self, cols, dtype) -> np.ndarray:
         """Pixel ids of each listed column sorted stably by rho bin, so row-major
@@ -151,59 +153,68 @@ def _runs(begin, end):
     return run, np.arange(len(run)) + np.repeat(begin - (np.cumsum(length) - length), length)
 
 
-def _tls_fit(xy, pix, counts):
-    """Total-least-squares (rho, theta_deg) through each run of ``counts[i]``
-    consecutive pixels of ``pix``; exactly horizontal and vertical runs come out
-    with exact parameters.
+def _moments(terms, pix, counts, c_max: int):
+    """Moments n, sum x, sum y, sum x^2, sum y^2, sum xy (rows) of each run of
+    ``counts[i]`` consecutive pixels of ``pix``, from ``terms``: the rows x, y,
+    x^2, y^2, xy of every pixel, in int64, with coordinates in [0, c_max].
 
-    Runs of one length are reduced together as the rows of one C-contiguous
-    array. numpy sums each such row exactly as it sums a lone 1-D array, so
-    every result is bit-identical to fitting that run by itself. A strided
-    view of the same values, or np.add.reduceat, can round differently.
+    Integer sums are exact in any order, so one ``np.add.reduceat`` takes them
+    all. The fit multiplies them, as in n * sum x^2 - (sum x)^2: for a run of
+    n pixels, every such product and sum stays below 2 * (n * c_max)^2. Where
+    that bound could reach 2^63 (n * c_max >= 2^31), the moments are Python
+    ints instead.
     """
-    by_len = np.argsort(counts, kind="stable")
-    lengths = counts[by_len]
-    first = (np.cumsum(counts) - counts)[by_len]
-    mean = np.empty((2, len(counts)))
-    sums = np.empty((3, len(counts)))
-    for a, b in itertools.pairwise(np.r_[0, np.flatnonzero(np.diff(lengths)) + 1, len(counts)]):
-        p = xy[:, pix[first[a:b, None] + np.arange(lengths[a])]]
-        mean[:, a:b] = m = np.add.reduce(p, axis=2) / lengths[a]
-        d = p - m[..., None]
-        sums[:, a:b] = np.add.reduce(d[[0, 1, 0]] * d[[0, 1, 1]], axis=2)
-    (mx, my), (sxx, syy, sxy) = mean, sums
-    theta_deg = np.degrees(0.5 * np.arctan2(2.0 * sxy, sxx - syy)) + 90.0
+    exact = np.int64 if int(counts.max(initial=0)) * c_max < 1 << 31 else object
+    sums = np.add.reduceat(np.take(terms, pix, axis=1).astype(exact, copy=False),
+                           np.cumsum(counts) - counts, axis=1)
+    return np.vstack((counts.astype(exact), sums))
+
+
+def _tls_fit(moments):
+    """Total-least-squares (rho, theta_deg) through each pixel set with the given
+    ``_moments`` (columns); exactly horizontal and vertical sets come out with
+    exact parameters.
+
+    n times the centered sums of squares and products are exact integers, so
+    the fit rounds only in the conversion to float, the arctangent, the mean
+    and rho, and it is a pure function of the moments.
+    """
+    n, sx, sy, sxx, syy, sxy = moments
+    a, b, c = n * sxx - sx * sx, n * syy - sy * sy, n * sxy - sx * sy
+    theta_deg = np.degrees(0.5 * np.arctan2((2 * c).astype(np.float64),
+                                            (a - b).astype(np.float64))) + 90.0
+    mx, my = (sx / n).astype(np.float64), (sy / n).astype(np.float64)
     rad = np.deg2rad(theta_deg)
     rho = mx * np.cos(rad) + my * np.sin(rad)
     wrap = theta_deg >= 180.0
     theta_deg[wrap] -= 180.0
     rho[wrap] = -rho[wrap]
-    horizontal = (sxy == 0.0) & (syy == 0.0)
-    vertical = (sxy == 0.0) & (sxx == 0.0) & ~horizontal
+    horizontal = b == 0  # c^2 <= a * b, so c is 0 whenever a or b is
+    vertical = (a == 0) & ~horizontal
     rho[horizontal], theta_deg[horizontal] = my[horizontal], 90.0
     rho[vertical], theta_deg[vertical] = mx[vertical], 0.0
-    out = np.empty((2, len(counts)))
-    out[:, by_len] = rho, theta_deg
-    return out
+    return rho, theta_deg
 
 
-def _refine(votes: _Votes, order, indexed, cols, rows, part_px: int, batch_px: int):
+def _refine(votes: _Votes, order, indexed, cols, rows, part_px: int):
     """(rho, theta_deg, votes) of the peaks at accumulator cells (rows, cols),
     whose columns and their neighbors are the ``indexed`` runs of ``order``.
 
-    Every peak goes through the same rounds: a fit to the voters of its cell,
+    Every peak goes through up to five rounds: a fit to the voters of its cell,
     three refits to the pixels within half a pixel of the current line, and a
     count of that band as its votes. A peak whose band comes out empty stops
-    there with 0 votes. Each round runs for all live peaks at once: candidates
-    are gathered and tested in parts of about ``part_px`` pixels, and the bands
-    found are fitted together once they reach ``batch_px`` pixels.
+    there with 0 votes. A refit that returns the line it was fitted from is a
+    fixed point: every later band and refit would be the same, so the peak
+    stops there with that band's size as its votes. Each round runs for all
+    live peaks at once: candidates are gathered, tested and summed into band
+    moments in parts of about ``part_px`` pixels, and all bands are fitted
+    together.
     """
     k = len(rows)
     rho, theta_deg = np.zeros(k), np.zeros(k)
     count = np.zeros(k, dtype=np.int64)
     live = np.ones(k, dtype=bool)
     xs, ys = votes.xy
-    n = len(xs)
     for rnd in range(5):
         ids = np.flatnonzero(live)
         if len(ids) == 0:
@@ -216,31 +227,35 @@ def _refine(votes: _Votes, order, indexed, cols, rows, part_px: int, batch_px: i
             cos_t, sin_t, rho_t = np.cos(rad), np.sin(rad), rho[ids]
         length = end - begin
         part_of = (np.cumsum(length) - length) // part_px
-        parts = np.split(np.arange(len(ids)), np.flatnonzero(np.diff(part_of)) + 1)
-        bands, size = [], 0
-        for i, part in enumerate(parts):
+        fitted, sums = [], []
+        for part in np.split(np.arange(len(ids)), np.flatnonzero(np.diff(part_of)) + 1):
             run, pos = _runs(begin[part], end[part])
-            pix = order[pos]
+            # np.take, np.repeat and np.compress beat fancy and mask indexing
+            pix = np.take(order, pos)
             del pos
-            if rnd:  # keep each band in row-major order, as a scan of all pixels has it
-                at = run + part[0]
-                dist = xs[pix] * cos_t[at]
-                dist += ys[pix] * sin_t[at]
-                dist -= rho_t[at]
+            if rnd:
+                per = length[part]
+                dist = np.take(xs, pix) * np.repeat(cos_t[part], per)
+                dist += np.take(ys, pix) * np.repeat(sin_t[part], per)
+                dist -= np.repeat(rho_t[part], per)
                 near = np.abs(dist, out=dist) <= 0.5
-                run, pix = np.divmod(np.sort(run[near] * n + pix[near], kind="stable"), n)
-            bands.append((ids[part], np.bincount(run, minlength=len(part)), pix))
-            size += len(pix)
-            if size < batch_px and i + 1 < len(parts):
-                continue
-            got, counts, pix = (np.concatenate(x) for x in zip(*bands))
-            bands, size = [], 0
+                run, pix = np.compress(near, run), np.compress(near, pix)
+            got, counts = ids[part], np.bincount(run, minlength=len(part))
             if rnd == 4:
                 count[got] = counts
                 continue
             live[got[counts == 0]] = False
-            fit = got[counts > 0]
-            rho[fit], theta_deg[fit] = _tls_fit(votes.xy, pix, counts[counts > 0])
+            fitted.append(got[counts > 0])
+            sums.append(_moments(votes.terms, pix, counts[counts > 0], votes.c_max))
+        if rnd == 4:
+            break
+        got, moments = np.concatenate(fitted), np.concatenate(sums, axis=1)
+        fit = _tls_fit(moments)
+        if rnd:
+            fixed = (fit[0] == rho[got]) & (fit[1] == theta_deg[got])
+            count[got[fixed]] = moments[0, fixed]
+            live[got[fixed]] = False
+        rho[got], theta_deg[got] = fit
     return rho, theta_deg, count
 
 
@@ -250,9 +265,17 @@ def hough_lines(edges: Raster, rho_res: float = 1.0, theta_res: float = 1.0,
 
     Peaks are 8-neighborhood local maxima of the accumulator (equal-valued
     neighbors resolved in favor of the smaller (theta, rho) cell), refined by a
-    least-squares refit of their supporting pixels; votes are then recounted as
-    the on-pixels within half a pixel of the refined line. Output is sorted by
-    votes descending, then (theta, rho) ascending.
+    total-least-squares fit to their cell's voters and up to three refits to
+    the on-pixels within half a pixel of the current line, stopping early once
+    a refit returns its own line; votes are then the on-pixels within half a
+    pixel of the refined line. Output is sorted by votes descending, then
+    (theta, rho) ascending.
+
+    Each fit works on the pixel set's exact integer moments, so the lines
+    equal those of refining one peak at a time with the same fit, and lie
+    within about 1e-12 of a fit to float centered sums. Moments that int64
+    could overflow (a run of n pixels at coordinates up to c, n * c >= 2^31)
+    are summed as Python ints.
 
     Voting costs O(N * n_theta) for N on-pixels. Refinement looks each line's
     pixels up in the theta columns' pixels sorted by rho bin, so it costs
@@ -276,20 +299,22 @@ def hough_lines(edges: Raster, rho_res: float = 1.0, theta_res: float = 1.0,
         return []
 
     n = len(xs)
-    xy = np.empty((2, n))
-    xy[0], xy[1] = xs, ys
+    xs, ys = xs.astype(np.int64), ys.astype(np.int64)
+    terms = np.stack((xs, ys, xs * xs, ys * ys, xs * ys))
+    xy = terms[:2].astype(np.float64)
     del xs, ys
     acc = np.empty((2 * offs + 1, n_theta), dtype=np.int32)
     for ti in range(n_theta):
         acc[:, ti] = np.bincount(_rho_bins(*xy, ti * theta_res, rho_res, offs),
                                  minlength=2 * offs + 1)
     rows, cols = _peaks(acc, min_votes)
-    votes = _Votes(xy, np.cumsum(acc, axis=0, out=acc), theta_res, rho_res, offs, diag)
+    votes = _Votes(xy, terms, np.cumsum(acc, axis=0, out=acc), theta_res, rho_res, offs,
+                   diag, max(edges.width, edges.height) - 1)
 
     order_dtype = np.uint16 if n <= 1 << 16 else np.int32
     # A block's index takes about as much memory as the accumulator. Parts of
-    # N/2 candidates and fits of up to 8N band pixels keep refinement's buffers
-    # O(N); on lane frames, parts of N candidates left the heap larger.
+    # N candidates keep refinement's buffers O(N); on lane frames, parts of 2N
+    # left the heap larger, and parts of N/2 cost more calls than they saved.
     block = max(1, acc.nbytes // (n * np.dtype(order_dtype).itemsize))
     lines = []
     for a in range(0, n_theta, block):
@@ -302,7 +327,7 @@ def hough_lines(edges: Raster, rho_res: float = 1.0, theta_res: float = 1.0,
         indexed = np.flatnonzero(indexed)
         order = votes.order(indexed, order_dtype)
         rho, theta_deg, count = _refine(votes, order, indexed, cols[lo:hi], rows[lo:hi],
-                                        part_px=max(1, n // 2), batch_px=8 * n)
+                                        part_px=n)
         del order
         lines += [HoughLine(rho=float(r), theta_deg=float(t), votes=int(v))
                   for r, t, v in zip(rho, theta_deg, count) if v >= min_votes]
@@ -411,13 +436,21 @@ def _enclosed_area(comp: np.ndarray) -> int:
     return int(comp.size - outside.sum())
 
 
+# The reference object fills a good part of a calibration shot. Smaller
+# outlines are texture or noise: on a noisy shot whose card outline breaks up,
+# one of them would otherwise be measured as the reference.
+MIN_RECTANGLE_SHARE = 0.01
+
+
 def largest_rectangle(img: Raster, edge_threshold: int = 60, min_fill: float = 0.85,
                       blur_passes: int = 0) -> Contour:
     """Find the biggest solidly rectangular shape in a calibration scene.
 
-    Edge map -> contours; candidates are ranked by the area they enclose and the
-    first whose enclosed area fills >= min_fill of its bbox wins. Blurring is
-    off by default: the calibration shot is high contrast, and blur widens the
+    Edge map -> contours; contours whose bbox covers less than
+    MIN_RECTANGLE_SHARE of the frame are skipped, the rest are ranked by the
+    area they enclose, and the first whose enclosed area fills >= min_fill of
+    its bbox wins; with none, ValueError("no rectangle found"). Blurring is off
+    by default: the calibration shot is high contrast, and blur widens the
     edge band, biasing the measured pixel extent.
     """
     edges = threshold_binary(sobel_magnitude(blurred_gray(img, blur_passes)), edge_threshold)
@@ -425,6 +458,8 @@ def largest_rectangle(img: Raster, edge_threshold: int = 60, min_fill: float = 0
     ranked = []
     for c in _contours(labels, n):
         x, y, w, h = c.bbox
+        if w * h < MIN_RECTANGLE_SHARE * img.width * img.height:
+            continue
         comp = labels[y:y + h, x:x + w] == labels[c.pixels[0, 1], c.pixels[0, 0]]
         ranked.append((_enclosed_area(comp), c))
     ranked.sort(key=lambda item: -item[0])

@@ -187,8 +187,33 @@ def flood_enclosed_area(comp):
 
 
 def _tls_line(px, py):
-    """Total-least-squares (rho, theta_deg) through a pixel set; exactly
-    horizontal and vertical sets come out with exact parameters."""
+    """Total-least-squares (rho, theta_deg) through a pixel set from its exact
+    moments: with Python ints, n times the centered sums of squares and
+    products are exact, and only their conversion to float, the arctangent,
+    the mean and rho round. Exactly horizontal and vertical sets come out with
+    exact parameters."""
+    xs, ys = [int(v) for v in px], [int(v) for v in py]
+    n, sx, sy = len(xs), sum(xs), sum(ys)
+    a = n * sum(x * x for x in xs) - sx * sx
+    b = n * sum(y * y for y in ys) - sy * sy
+    c = n * sum(x * y for x, y in zip(xs, ys)) - sx * sy
+    mx, my = sx / n, sy / n
+    if b == 0:
+        return float(my), 90.0
+    if a == 0:
+        return float(mx), 0.0
+    theta_deg = np.degrees(0.5 * np.arctan2(float(2 * c), float(a - b))) + 90.0
+    rad = np.deg2rad(theta_deg)
+    rho = mx * np.cos(rad) + my * np.sin(rad)
+    if theta_deg >= 180.0:
+        theta_deg -= 180.0
+        rho = -rho
+    return float(rho), float(theta_deg)
+
+
+def float_tls_line(px, py):
+    """``_tls_line`` from float centered sums: the fit the package used before
+    it summed integer moments, kept to bound how far the two fits differ."""
     mx, my = px.mean(), py.mean()
     dx, dy = px - mx, py - my
     sxx, syy, sxy = (dx * dx).sum(), (dy * dy).sum(), (dx * dy).sum()
@@ -205,7 +230,7 @@ def _tls_line(px, py):
     return float(rho), float(theta_deg)
 
 
-def _refine_peak(xs, ys, rho_bin: float, theta_bin_deg: float, rho_res: float):
+def _refine_peak(xs, ys, rho_bin: float, theta_bin_deg: float, rho_res: float, fit):
     """Polish a peak: refit the supporting pixels, recollect the half-pixel band,
     and repeat a fixed number of rounds.
 
@@ -216,23 +241,24 @@ def _refine_peak(xs, ys, rho_bin: float, theta_bin_deg: float, rho_res: float):
     theta = np.deg2rad(theta_bin_deg)
     r = np.rint((xs * np.cos(theta) + ys * np.sin(theta)) / rho_res) * rho_res
     sel = r == rho_bin
-    rho, theta_deg = _tls_line(xs[sel], ys[sel])
+    rho, theta_deg = fit(xs[sel], ys[sel])
     for _ in range(3):
         rad = np.deg2rad(theta_deg)
         band = np.abs(xs * np.cos(rad) + ys * np.sin(rad) - rho) <= 0.5
         if not band.any():
             break
-        rho, theta_deg = _tls_line(xs[band], ys[band])
+        rho, theta_deg = fit(xs[band], ys[band])
     return rho, theta_deg
 
 
-def per_peak_hough_lines(edges, rho_res=1.0, theta_res=1.0, min_votes=1):
+def per_peak_hough_lines(edges, rho_res=1.0, theta_res=1.0, min_votes=1, fit=_tls_line):
     """Hough lines refined one peak at a time, each refit scanning every edge pixel.
 
     Peaks are 8-neighborhood local maxima of the accumulator (equal-valued
     neighbors resolved in favor of the smaller (theta, rho) cell), refined by
-    ``_refine_peak``; votes are recounted as the on-pixels within half a pixel
-    of the refined line. Sorted by votes descending, then (theta, rho).
+    ``_refine_peak`` with ``fit`` (the integer-moment ``_tls_line``, or
+    ``float_tls_line``); votes are recounted as the on-pixels within half a
+    pixel of the refined line. Sorted by votes descending, then (theta, rho).
     """
     if edges.channels != 1:
         raise ValueError("expected a grayscale raster")
@@ -265,7 +291,7 @@ def per_peak_hough_lines(edges, rho_res=1.0, theta_res=1.0, min_votes=1):
     lines = []
     for r, t in zip(*np.nonzero(keep)):
         rho, theta_deg = _refine_peak(xs_f, ys_f, float((r - offs) * rho_res),
-                                      float(t * theta_res), rho_res)
+                                      float(t * theta_res), rho_res, fit)
         rad = np.deg2rad(theta_deg)
         band = np.abs(xs_f * np.cos(rad) + ys_f * np.sin(rad) - rho) <= 0.5
         votes = int(band.sum())

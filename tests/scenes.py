@@ -36,6 +36,16 @@ def calibration_scene(img_w=400, img_h=300, rect_w=120, rect_h=80):
     return Raster(img)
 
 
+def noisy_calibration_scene():
+    """A 640x480 shot of a 480x360 card with uniform integer noise in [-40, 40]
+    per pixel: the card's outline breaks up into fragments and no rectangle is
+    left to measure."""
+    rng = np.random.default_rng(0)
+    base = calibration_scene(640, 480, 480, 360).pixels.astype(np.int64)
+    noisy = base + rng.integers(-40, 41, base.shape)
+    return Raster(np.clip(noisy, 0, 255).astype(np.uint8))
+
+
 def pinhole_render(object_width_cm, distance_cm, focal_px, img_w=400, img_h=300):
     """Ideal pinhole projection of a rectangular object onto a white image."""
     width_px = int(round(object_width_cm * focal_px / distance_cm))

@@ -9,6 +9,7 @@ from scenes import (
     corridor_frame,
     floor_box_scene,
     noise_patch,
+    noisy_calibration_scene,
     road_frame,
     write_replay,
 )
@@ -36,6 +37,15 @@ def test_calibrate_rejects_bad_distance(tmp_path, calib_image, capsys):
                 "--length-cm", "20", "--out", str(tmp_path / "cam.json")])
     assert code == 2
     assert not (tmp_path / "cam.json").exists()
+
+def test_calibrate_noisy_shot_exits_one(tmp_path, capsys):
+    src, out = tmp_path / "book.pnm", tmp_path / "camera.json"
+    save_pnm(src, noisy_calibration_scene())
+    code = run(["calibrate", str(src), "--distance-cm", "70", "--length-cm", "20",
+                "--out", str(out)])
+    assert code == 1
+    assert "no rectangle found" in capsys.readouterr().err
+    assert not out.exists()
 
 def test_segment_outputs_mask_and_sidecar(tmp_path):
     img, _ = floor_box_scene()

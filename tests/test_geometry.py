@@ -3,19 +3,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rovercv.geometry as geometry
 from oracles import (
+    _tls_line,
     bfs_label_components,
+    float_tls_line,
     flood_enclosed_area,
     line_residual,
     per_component_contours,
     per_peak_hough_lines,
     segment_line_params,
 )
-from scenes import calibration_scene, rasterize_segment, road_frame
+from scenes import calibration_scene, noisy_calibration_scene, rasterize_segment, road_frame
 from rovercv.geometry import (
     LaneConfig,
     _enclosed_area,
     _lane_edges,
+    _moments,
+    _tls_fit,
     detect_lane,
     find_contours,
     hough_lines,
@@ -172,10 +177,95 @@ class TestHoughMatchesPerPeakOracle:
                             == per_peak_hough_lines(img, min_votes=min_votes))
 
     def test_noise_edge_map(self):
-        rng = np.random.default_rng(3)
-        noise = Raster(rng.integers(0, 256, (120, 160)).astype(np.uint8))
-        edges = threshold_binary(sobel_magnitude(noise), 60)
+        assert hough_lines(noise_edges()) == per_peak_hough_lines(noise_edges())
+
+    def test_fit_off_every_pixel(self):
+        # the four corners share one cell and fit the line y = 5, which no pixel
+        # is near: every band of the round is empty
+        img = np.zeros((11, 11), dtype=np.uint8)
+        img[::10, ::10] = 255
+        assert hough_lines(binary(img), rho_res=20.0, theta_res=90.0) == []
+        assert per_peak_hough_lines(binary(img), rho_res=20.0, theta_res=90.0) == []
+
+    def test_converged_peaks_leave_the_loop(self, monkeypatch):
+        peaks_per_round = []
+        band_spans = geometry._band_spans
+
+        def counting(votes, indexed, seed_col, rho, theta_deg):
+            peaks_per_round.append(len(rho))
+            return band_spans(votes, indexed, seed_col, rho, theta_deg)
+
+        monkeypatch.setattr(geometry, "_band_spans", counting)
+        frame, _ = road_frame()
+        edges, _ = _lane_edges(frame, LaneConfig())
         assert hough_lines(edges) == per_peak_hough_lines(edges)
+        assert len(peaks_per_round) == 4  # one block of columns, four band rounds
+        assert peaks_per_round == sorted(peaks_per_round, reverse=True)
+        assert peaks_per_round[-1] < peaks_per_round[0] / 2
+
+
+def noise_edges():
+    rng = np.random.default_rng(3)
+    noise = Raster(rng.integers(0, 256, (120, 160)).astype(np.uint8))
+    return threshold_binary(sobel_magnitude(noise), 60)
+
+
+def close_count(p, q, tol=1e-9):
+    """For each (rho, theta) row of p, the rows of q within tol in both."""
+    return (np.abs(p[:, None] - q[None]) <= tol).all(axis=2).sum(axis=1)
+
+
+class TestHoughNearFloatFit:
+    """The integer-moment fit stays within 1e-9 of the float centered-sum fit."""
+
+    def test_road_frames_mirrors_and_noise(self):
+        maps = [noise_edges()]
+        for kwargs in ({}, {"left_bottom_x": 80.0, "right_top_x": 190.0}):
+            edges, _ = _lane_edges(road_frame(**kwargs)[0], LaneConfig())
+            maps += [edges, Raster(edges.pixels[:, ::-1])]
+        for edges in maps:
+            lines = hough_lines(edges)
+            near = per_peak_hough_lines(edges, fit=float_tls_line)
+            assert [ln.votes for ln in lines] == [ln.votes for ln in near]
+            # lines of equal votes whose thetas lie within 1e-9 may swap places,
+            # and some lines come from several peaks: within each votes, every
+            # line has as many lines within 1e-9 in the other list as in its own
+            for votes in {ln.votes for ln in lines}:
+                a, b = (np.array([(ln.rho, ln.theta_deg) for ln in found if ln.votes == votes])
+                        for found in (lines, near))
+                for p, q in ((a, b), (b, a)):
+                    assert (close_count(p, q) == close_count(p, p)).all()
+
+
+class TestExactMoments:
+    """Moments and fits stay exact where int64 products of the moments overflow."""
+
+    def test_long_runs_at_large_coordinates(self):
+        # short runs beside a run of 2.1M pixels near (1919, 1079), a 1920x1080
+        # frame's far corner, where n * sum x^2 alone is near 1.6e19 > 2^63,
+        # and a run of 3.2M pixels alternating between (0, 0) and that corner,
+        # whose 2 * (n * sum xy - sum x * sum y) is itself above 2^63
+        rng = np.random.default_rng(7)
+        near = 1919 - rng.integers(0, 40, 2_100_000)
+        xs = np.r_[near, np.tile([0, 1919], 1_600_000)]
+        ys = np.r_[1079 - (near - 1880) // 2 - rng.integers(0, 2, len(near)),
+                   np.tile([0, 1079], 1_600_000)]
+        terms = np.stack((xs, ys, xs * xs, ys * ys, xs * ys)).astype(np.int64)
+        counts = np.array([3, len(near) - 10, 7, 3_200_000])
+        moments = _moments(terms, np.arange(len(xs)), counts, 1919)
+        rho, theta_deg = _tls_fit(moments)
+        for i, (first, c) in enumerate(zip(np.cumsum(counts) - counts, counts)):
+            px, py = xs[first:first + c].tolist(), ys[first:first + c].tolist()
+            exact = [len(px), sum(px), sum(py), sum(x * x for x in px), sum(y * y for y in py),
+                     sum(x * y for x, y in zip(px, py))]
+            assert [int(v) for v in moments[:, i]] == exact
+            assert (rho[i], theta_deg[i]) == _tls_line(xs[first:first + c], ys[first:first + c])
+        n, sx, sy, _, _, sxy = exact
+        assert 2 * (n * sxy - sx * sy) >= 2**63  # beyond int64 even with wraparound
+        # short runs alone stay in int64 and round exactly as the exact path does
+        short = _tls_fit(_moments(terms, np.r_[0:3, len(near) - 7:len(near)], np.array([3, 7]),
+                                  1919))
+        assert (short[0] == rho[[0, 2]]).all() and (short[1] == theta_deg[[0, 2]]).all()
 
 
 class TestHoughParameters:
@@ -395,6 +485,21 @@ class TestLargestRectangle:
     def test_blank_image(self):
         with pytest.raises(ValueError, match="no rectangle found"):
             largest_rectangle(Raster(np.full((50, 50), 255, dtype=np.uint8)))
+
+    def test_outlines_under_a_hundredth_of_the_frame_skipped(self):
+        # a 30x30 square's outline (bbox 32x32) is under 1% of 400x300, a 40x40
+        # one is over it
+        scene = np.full((300, 400), 255, dtype=np.uint8)
+        scene[100:130, 100:130] = 0
+        with pytest.raises(ValueError, match="no rectangle found"):
+            largest_rectangle(Raster(scene))
+        scene[100:140, 100:140] = 0
+        assert abs(largest_rectangle(Raster(scene)).bbox[2] - 40) <= 2
+
+    def test_noisy_shot_finds_no_rectangle(self):
+        # without the size floor, a 3x5 outline in the noise was returned
+        with pytest.raises(ValueError, match="no rectangle found"):
+            largest_rectangle(noisy_calibration_scene())
 
 
 class TestDetectLane:
