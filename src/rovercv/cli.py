@@ -61,6 +61,7 @@ def _ranged(parse, ok, what):
 _positive_float = _ranged(float, lambda v: 0 < v < math.inf, "a finite positive number")
 _nonneg_float = _ranged(float, lambda v: 0 <= v < math.inf, "a finite non-negative number")
 _unit_float = _ranged(float, lambda v: 0 <= v <= 1, "in [0, 1]")
+_finite_float = _ranged(float, math.isfinite, "a finite number")
 _positive_int = _ranged(int, lambda v: v > 0, "positive")
 _nonneg_int = _ranged(int, lambda v: v >= 0, "non-negative")
 
@@ -142,7 +143,7 @@ def _build_parser(defaults: dict) -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="sliding-window car detection over numbered frames")
     p.add_argument("frame_dir")
     p.add_argument("model_json")
-    p.add_argument("--min-score", type=float, default=d("min_score", 0.0))
+    p.add_argument("--min-score", type=_finite_float, default=d("min_score", 0.0))
     p.add_argument("--frame-memory", type=_positive_int, default=d("frame_memory", 1))
     p.add_argument("--annotate", action="store_true")
     p.add_argument("--out-dir", default="detections")

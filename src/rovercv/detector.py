@@ -1,9 +1,9 @@
 """Multi-scale sliding-window car detection.
 
 Each band of the frame is rescaled so its window size maps onto the canonical
-training patch, the descriptor cell grid is computed once per scaled band, and
-every window reuses the aligned sub-array. Overlapping raw detections are fused
-by summing Gaussian splats into a heatmap and thresholding at half its peak.
+training patch, and the descriptors of all its windows are composed at once
+(``features.window_features``). Overlapping raw detections are fused by
+summing Gaussian splats into a heatmap and thresholding at half its peak.
 """
 
 import math
@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classifier import LinearModel, svm_score_many
-from .features import FeatureConfig, color_histogram, hog_block_grid, hog_planes, spatial_features
-from .geometry import label_components
+from .features import FeatureConfig, hog_block_grid, hog_planes, window_features
+from .geometry import _bboxes, label_components
 from .raster import Raster, resize_bilinear
 
 # sigma per box chosen so the half-maximum contour of one splat spans exactly
@@ -134,48 +134,31 @@ def _scaled_band(frame: Raster, band: BandConfig, nx: int, ny: int, canonical: i
     return Raster(scaled[:cover_h, :cover_w]), ss
 
 
-def iter_window_features(frame: Raster, plan: WindowPlan, cfg: DetectorConfig = DetectorConfig()):
-    """Yield ((band, x, y), feature vector) per window, sharing one cell grid per band.
-
-    The block grid of the whole scaled band is computed once; every window takes
-    its aligned block sub-array, which equals per-window extraction exactly
-    because cell histograms never look outside their own cell.
-    """
+def _band_features(frame: Raster, plan: WindowPlan, cfg: DetectorConfig):
+    """Yield each band's descriptor matrix, one row per window in plan order."""
     if frame.channels != 3:
         raise ValueError("detection frames must be RGB")
     fc = cfg.features
-    p = fc.hog
-    canonical = fc.patch_px
-    cell = p.cell_px
-    win_blocks = canonical // cell - p.block_cells + 1
+    for band, (nx, ny) in zip(plan.bands, plan.counts):
+        scaled, ss = _scaled_band(frame, band, nx, ny, fc.patch_px)
+        grids = [hog_block_grid(plane, fc.hog) for plane in hog_planes(scaled, fc.hog)]
+        yield window_features(scaled, grids, ny, nx, ss, fc)
 
-    for b, (band, (nx, ny)) in enumerate(zip(plan.bands, plan.counts)):
-        scaled, ss = _scaled_band(frame, band, nx, ny, canonical)
-        grids = [hog_block_grid(plane, p) for plane in hog_planes(scaled, p)]
-        for i in range(ny):
-            for j in range(nx):
-                ys, xs = i * ss, j * ss
-                cy, cx = ys // cell, xs // cell
-                hog_part = [g[cy:cy + win_blocks, cx:cx + win_blocks].reshape(-1) for g in grids]
-                window = Raster(scaled.pixels[ys:ys + canonical, xs:xs + canonical])
-                fv = np.concatenate(hog_part + [color_histogram(window, fc.hist_bins),
-                                                spatial_features(window, fc.spatial_px)])
-                yield (b, j * band.stride_px, band.y_top + i * band.stride_px), fv
+
+def iter_window_features(frame: Raster, plan: WindowPlan, cfg: DetectorConfig = DetectorConfig()):
+    """Yield ((band, x, y), feature vector) per window, in plan order; each vector
+    equals extract_features of the window cut out of its scaled band, bit for bit."""
+    rows = (row for matrix in _band_features(frame, plan, cfg) for row in matrix)
+    for (b, y, x), fv in zip(iter_windows(plan), rows):
+        yield (b, x, y), fv
 
 
 def detect_cars(frame: Raster, model: LinearModel, plan: WindowPlan,
                 cfg: DetectorConfig = DetectorConfig()) -> list:
     """Score every planned window; keep those above cfg.min_score, in plan order."""
-    placements = []
-    rows = []
-    for (b, x, y), fv in iter_window_features(frame, plan, cfg):
-        placements.append((b, x, y))
-        rows.append(fv)
-    if not rows:
-        return []
-    scores = svm_score_many(model, np.vstack(rows))
+    scores = svm_score_many(model, np.vstack(list(_band_features(frame, plan, cfg))))
     dets = []
-    for (b, x, y), score in zip(placements, scores):
+    for (b, y, x), score in zip(iter_windows(plan), scores):
         if score > cfg.min_score:
             side = plan.bands[b].window_px
             dets.append(Detection(x=x, y=y, w=side, h=side, score=float(score)))
@@ -212,15 +195,10 @@ def threshold_boxes(heatmap: Heatmap) -> list:
     labels, n = label_components(values >= 0.5 * peak, connectivity=8)
     ys, xs = np.nonzero(labels >= 0)
     lab = labels[ys, xs]
-    x0, y0 = np.full(n, labels.shape[1]), np.full(n, labels.shape[0])
-    x1, y1, score = np.full(n, -1), np.full(n, -1), np.full(n, -np.inf)
-    np.minimum.at(x0, lab, xs)
-    np.minimum.at(y0, lab, ys)
-    np.maximum.at(x1, lab, xs)
-    np.maximum.at(y1, lab, ys)
+    score = np.full(n, -np.inf)
     np.maximum.at(score, lab, values[ys, xs])
-    boxes = [Detection(x=int(a), y=int(b), w=int(c - a + 1), h=int(d - b + 1), score=float(s))
-             for a, b, c, d, s in zip(x0, y0, x1, y1, score)]
+    boxes = [Detection(x=int(a), y=int(b), w=int(c), h=int(d), score=float(s))
+             for a, b, c, d, s in zip(*_bboxes(lab, ys, xs, n, labels.shape), score)]
     boxes.sort(key=lambda d: (-d.score, d.y, d.x))
     return boxes
 

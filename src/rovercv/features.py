@@ -2,9 +2,11 @@
 histograms, per-channel color histograms, and downsampled raw pixels.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .raster import Raster, _resize_bilinear, to_grayscale
 
@@ -106,7 +108,7 @@ def hog_block_grid(arr: np.ndarray, p: HogParams) -> np.ndarray:
     bc = p.block_cells
     if ncy < bc or ncx < bc:
         raise ValueError("patch too small for the requested block size")
-    windows = np.lib.stride_tricks.sliding_window_view(hist, (bc, bc, p.bins))
+    windows = sliding_window_view(hist, (bc, bc, p.bins))
     blocks = windows.reshape(ncy - bc + 1, ncx - bc + 1, bc * bc * p.bins).astype(np.float64)
     n1 = blocks / np.sqrt((blocks ** 2).sum(axis=-1, keepdims=True) + HOG_EPS ** 2)
     n2 = np.minimum(n1, HOG_CLIP)
@@ -127,16 +129,23 @@ def hog(patch: Raster, p: HogParams = HogParams()) -> np.ndarray:
     return hog_block_grid(patch.pixels.astype(np.float64), p).reshape(-1)
 
 
+def _color_counts(pixels: np.ndarray, cell_h: int, cell_w: int, bins: int) -> np.ndarray:
+    """Per-channel intensity counts over [0, 255] of each cell of an 8-bit RGB
+    array; shape (ncy, ncx, 3, bins), exact integers."""
+    h, w = pixels.shape[:2]
+    ncy, ncx = h // cell_h, w // cell_w
+    offset = (np.arange(ncy * ncx * 3) * bins).reshape(ncy, 1, ncx, 1, 3)
+    key = np.minimum(np.arange(256) * bins // 256, bins - 1).take(
+        pixels.reshape(ncy, cell_h, ncx, cell_w, 3))
+    key += offset
+    return np.bincount(key.ravel(), minlength=offset.size * bins).reshape(ncy, ncx, 3, bins)
+
+
 def color_histogram(patch: Raster, bins: int = 32) -> np.ndarray:
     """Per-channel intensity counts over [0, 255], concatenated R, G, B."""
     if patch.channels != 3:
         raise ValueError("expected an RGB raster")
-    out = []
-    for c in range(3):
-        vals = patch.pixels[..., c].ravel().astype(np.int64)
-        idx = np.minimum(vals * bins // 256, bins - 1)
-        out.append(np.bincount(idx, minlength=bins).astype(np.float64))
-    return np.concatenate(out)
+    return _color_counts(patch.pixels, patch.height, patch.width, bins).reshape(-1).astype(np.float64)
 
 
 def spatial_features(patch: Raster, size: int = 32) -> np.ndarray:
@@ -163,6 +172,32 @@ def feature_length(cfg: FeatureConfig) -> int:
     return feature_layout(cfg)["spatial"][1]
 
 
+def window_features(img: Raster, grids, ny: int, nx: int, step: int,
+                    cfg: FeatureConfig = FeatureConfig()) -> np.ndarray:
+    """Descriptor rows, row-major, of the ny x nx ``cfg.patch_px`` px windows
+    placed every ``step`` px on an RGB raster; ``grids`` holds the
+    hog_block_grid of each of its hog_planes. Each row equals its window's
+    descriptor alone, bit for bit: aligned HOG blocks, a sum of exact per-cell
+    color counts, and a thumbnail from one bilinear resample of all windows.
+    """
+    p, size = cfg.hog, cfg.patch_px
+    if step % p.cell_px:
+        raise ValueError(f"window stride {step} px is not a multiple of the {p.cell_px} px HOG cell")
+    n = ny * nx
+    sb, wb = step // p.cell_px, size // p.cell_px - p.block_cells + 1
+    hog_part = [sliding_window_view(g, (wb, wb), axis=(0, 1))[::sb, ::sb][:ny, :nx]
+                .transpose(0, 1, 3, 4, 2).reshape(n, -1) for g in grids]
+    pixels = img.pixels[:(ny - 1) * step + size, :(nx - 1) * step + size]
+    cell = math.gcd(step, size)
+    k, sk = size // cell, step // cell
+    counts = _color_counts(pixels, cell, cell, cfg.hist_bins)
+    hist = sliding_window_view(counts, (k, k), axis=(0, 1))[::sk, ::sk].sum(axis=(-2, -1))
+    windows = sliding_window_view(pixels, (size, size), axis=(0, 1))[::step, ::step]
+    thumbs = _resize_bilinear(windows.transpose(0, 1, 3, 4, 2), cfg.spatial_px, cfg.spatial_px)
+    return np.concatenate(hog_part + [hist.reshape(n, -1).astype(np.float64), thumbs.reshape(n, -1)],
+                          axis=1)
+
+
 def extract_features(patch: Raster, cfg: FeatureConfig = FeatureConfig()) -> FeatureVector:
     """Concatenated descriptor of a canonical RGB training patch."""
     if patch.channels != 3:
@@ -170,7 +205,6 @@ def extract_features(patch: Raster, cfg: FeatureConfig = FeatureConfig()) -> Fea
     if patch.width != cfg.patch_px or patch.height != cfg.patch_px:
         raise ValueError(
             f"expected a {cfg.patch_px}x{cfg.patch_px} patch, got {patch.width}x{patch.height}")
-    hog_part = [hog_block_grid(plane, cfg.hog).reshape(-1) for plane in hog_planes(patch, cfg.hog)]
-    values = np.concatenate(hog_part + [color_histogram(patch, cfg.hist_bins),
-                                        spatial_features(patch, cfg.spatial_px)])
+    grids = [hog_block_grid(plane, cfg.hog) for plane in hog_planes(patch, cfg.hog)]
+    values = window_features(patch, grids, 1, 1, cfg.patch_px, cfg)[0]
     return FeatureVector(values=values, layout=feature_layout(cfg))

@@ -391,6 +391,18 @@ def find_contours(mask: Raster) -> list:
     return _contours(*label_components(mask.pixels > 0, connectivity=8))
 
 
+def _bboxes(lab: np.ndarray, ys: np.ndarray, xs: np.ndarray, n: int, shape) -> tuple:
+    """Bounding boxes of labels 0..n-1 in an image of ``shape`` from their
+    pixels (ys, xs) labelled ``lab``: arrays x, y, w, h; every label needs a pixel."""
+    x0, y0 = np.full(n, shape[1]), np.full(n, shape[0])
+    x1, y1 = np.full(n, -1), np.full(n, -1)
+    np.minimum.at(x0, lab, xs)
+    np.minimum.at(y0, lab, ys)
+    np.maximum.at(x1, lab, xs)
+    np.maximum.at(y1, lab, ys)
+    return x0, y0, x1 - x0 + 1, y1 - y0 + 1
+
+
 def _contours(labels: np.ndarray, n: int) -> list:
     """One contour per component of a labeling, sorted by area descending.
 
@@ -408,19 +420,13 @@ def _contours(labels: np.ndarray, n: int) -> list:
             | (padded[1:-1, :-2] != labels) | (padded[1:-1, 2:] != labels))
     ys, xs = np.nonzero(edge & (labels >= 0))
     lab = labels[ys, xs]
-    x0, y0 = np.full(n, w), np.full(n, h)
-    x1, y1 = np.full(n, -1), np.full(n, -1)
-    np.minimum.at(x0, lab, xs)
-    np.minimum.at(y0, lab, ys)
-    np.maximum.at(x1, lab, xs)
-    np.maximum.at(y1, lab, ys)
     area = np.bincount(labels.ravel() + 1, minlength=n + 1)[1:]
     order = np.argsort(lab, kind="stable")
     pixels = np.column_stack((xs[order], ys[order])).astype(np.int64)
     splits = np.cumsum(np.bincount(lab, minlength=n))[:-1]
-    contours = [Contour(pixels=p, bbox=(int(a), int(b), int(c - a + 1), int(d - b + 1)),
-                        area=int(s))
-                for p, a, b, c, d, s in zip(np.split(pixels, splits), x0, y0, x1, y1, area)]
+    contours = [Contour(pixels=p, bbox=(int(a), int(b), int(c), int(d)), area=int(s))
+                for p, a, b, c, d, s in zip(np.split(pixels, splits),
+                                            *_bboxes(lab, ys, xs, n, labels.shape), area)]
     contours.sort(key=lambda c: -c.area)
     return contours
 

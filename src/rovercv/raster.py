@@ -25,8 +25,8 @@ class Raster:
             raise ValueError("raster pixels must have shape (h, w) or (h, w, 3)")
         if px.shape[0] < 1 or px.shape[1] < 1:
             raise ValueError("raster must be at least 1x1")
-        # uint8 input is in range by construction; skipping the scan keeps the
-        # per-window rasters of the detector cheap
+        # uint8 input is in range by construction; skipping the scan keeps
+        # wrapping a decoded frame, a crop or a band cheap
         if px.dtype != np.uint8:
             if not (px.min() >= 0 and px.max() <= 255):
                 raise ValueError("raster pixel values must lie in 0..255")
@@ -195,14 +195,14 @@ def save_pnm(path, img: Raster):
 
 
 def _resize_bilinear(arr: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
-    """Bilinear resample to (out_h, out_w); float64 output, exact for identity sizes."""
+    """Bilinear resample of (h, w) or (..., h, w, 3) to (out_h, out_w); float64
+    output, exact for identity sizes. Reads only the sampled pixels, so a
+    strided view of many windows is resampled without copying it."""
     if out_w < 1 or out_h < 1:
         raise ValueError("target size must be positive")
-    src = arr.astype(np.float64)
-    squeeze = src.ndim == 2
-    if squeeze:
-        src = src[:, :, None]
-    src_h, src_w = src.shape[:2]
+    squeeze = arr.ndim == 2
+    src = arr[:, :, None] if squeeze else arr
+    src_h, src_w = src.shape[-3:-1]
 
     def _coords(n_out, n_src):
         if n_out == 1 or n_src == 1:
@@ -215,17 +215,17 @@ def _resize_bilinear(arr: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
     x0, fx = _coords(out_w, src_w)
     y1 = np.minimum(y0 + 1, src_h - 1)
     x1 = np.minimum(x0 + 1, src_w - 1)
-    tl = src[y0[:, None], x0[None, :]]
-    tr = src[y0[:, None], x1[None, :]]
-    bl = src[y1[:, None], x0[None, :]]
-    br = src[y1[:, None], x1[None, :]]
-    fxg = fx[None, :, None]
+    tl, tr, bl, br = (src[..., ys[:, None], xs[None, :], :].astype(np.float64)
+                      for ys, xs in ((y0, x0), (y0, x1), (y1, x0), (y1, x1)))
+    fxg = fx[:, None]
     fyg = fy[:, None, None]
-    # lerp form keeps constants exact: a + f*(b - a)
-    top = tl + fxg * (tr - tl)
-    bot = bl + fxg * (br - bl)
-    out = top + fyg * (bot - top)
-    return out[:, :, 0] if squeeze else out
+    # lerp form keeps constants exact: a + f*(b - a), computed in b so that
+    # resampling many windows makes no temporaries
+    for a, b, f in ((tl, tr, fxg), (bl, br, fxg), (tr, br, fyg)):
+        b -= a
+        b *= f
+        b += a
+    return br[:, :, 0] if squeeze else br
 
 
 def resize_bilinear(img: Raster, width: int, height: int) -> Raster:

@@ -2,10 +2,10 @@
 
 Everything here is written as plainly as possible (literal loops, direct
 formulas, dense solvers) and deliberately shares no code with the package
-beyond its result types. The one exception is ``per_rotation_localize``, which
-reuses the map rotation the fast search also calls: it checks how the
-full-resolution scoring shares work across a given set of rotations, not the
-rotation itself.
+beyond its result types. The exceptions check how shared work is split, not
+the shared step itself: ``per_rotation_localize`` reuses the map rotation the
+fast search also calls, and ``per_window_features`` reuses the block grid, the
+HOG planes and the bilinear resample of a single patch.
 """
 
 import heapq
@@ -16,6 +16,7 @@ from itertools import count
 import numpy as np
 
 from rovercv.detector import Detection
+from rovercv.features import hog_block_grid, hog_planes
 from rovercv.geometry import Contour, HoughLine
 from rovercv.mapping import (
     FREE,
@@ -25,6 +26,7 @@ from rovercv.mapping import (
     Pose,
     _rotate_map,
 )
+from rovercv.raster import _resize_bilinear
 from rovercv.segmentation import LabelMask, WatershedResult
 
 _N4 = ((-1, 0), (1, 0), (0, -1), (0, 1))
@@ -471,3 +473,17 @@ def per_rotation_localize(global_map, partial, cfg, rotations) -> LocalizeResult
         raise ValueError(f"ambiguous localization: best score {max(best_score, 0.0):.3f} "
                          f"below {cfg.min_score}")
     return LocalizeResult(pose=best, score=best_score)
+
+
+def per_window_features(window, cfg):
+    """The descriptor of one RGB window, its parts joined window by window: the
+    block grid of the window alone, one bincount per channel, and a bilinear
+    thumbnail of the window."""
+    hog_part = [hog_block_grid(plane, cfg.hog).reshape(-1) for plane in hog_planes(window, cfg.hog)]
+    hist = []
+    for c in range(3):
+        vals = window.pixels[..., c].ravel().astype(np.int64)
+        idx = np.minimum(vals * cfg.hist_bins // 256, cfg.hist_bins - 1)
+        hist.append(np.bincount(idx, minlength=cfg.hist_bins).astype(np.float64))
+    thumb = _resize_bilinear(window.pixels, cfg.spatial_px, cfg.spatial_px).reshape(-1)
+    return np.concatenate(hog_part + hist + [thumb])

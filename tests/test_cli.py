@@ -287,6 +287,7 @@ def test_parser_dest_not_read_from_config_rejected(tmp_path, capsys, key):
     (["segment", "scene.pnm"], {"method": "sobel"}, "method"),
     (["smooth", "angles.csv"], {"lam": float("nan")}, "lam"),
     (["map-build", "replay.jsonl"], {"cell_cm": float("inf")}, "cell_cm"),
+    (["detect", "frames", "model.json"], {"min_score": float("nan")}, "min_score"),
 ])
 def test_bad_config_value_exits_two(tmp_path, capsys, command, config, key):
     cfg = tmp_path / "cfg.json"
@@ -319,6 +320,17 @@ def test_detect_min_score_may_exceed_one(tmp_path, capsys):
     # frame directory is what fails
     assert run(["detect", str(tmp_path / "frames"), str(tmp_path / "m.json"),
                 "--min-score", "1.5"]) == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_detect_non_finite_min_score_exits_two(tmp_path, capsys, value):
+    # nan would drop every window (score > nan is false) and exit 0; the
+    # parser rejects it before any file is read
+    out_dir = tmp_path / "detections"
+    assert run(["detect", str(tmp_path / "frames"), str(tmp_path / "m.json"),
+                f"--min-score={value}", "--out-dir", str(out_dir)]) == 2
+    assert "argument --min-score: " in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("header, message", [

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import per_component_boxes
+from oracles import per_component_boxes, per_window_features
 from scenes import frame_with_cars, noise_frame, training_set
 from rovercv.classifier import LinearModel, svm_train
 from rovercv.detector import (
@@ -25,7 +25,7 @@ from rovercv.detector import (
     threshold_boxes,
     _scaled_band,
 )
-from rovercv.features import FeatureConfig, extract_features, feature_length
+from rovercv.features import FeatureConfig, HogParams, extract_features, feature_length
 from rovercv.raster import Raster
 
 TEST_BANDS = (BandConfig(32, 96, 64, 16), BandConfig(0, 128, 128, 32))
@@ -108,6 +108,55 @@ class TestSubsampling:
             assert np.abs(fv - direct).max() <= 1e-9
             checked += 1
         assert checked == plan.total_windows
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([4, 8, 16]), st.booleans(), st.integers(1, 256),
+           st.sampled_from([1, 5, 32, 80]),
+           st.sampled_from([(64, 8), (64, 16), (64, 32), (96, 24), (96, 48), (128, 32), (128, 64)]),
+           st.integers(0, 2), st.integers(0, 2), st.data())
+    def test_rows_equal_per_window_oracle(self, cell, per_channel, hist_bins, spatial_px,
+                                          window_stride, kx, ky, data):
+        """Every window row, and extract_features of the window cut out alone,
+        equals the per-window join bit for bit; frames may end exactly at the
+        last window (edge-touching) or a few px past it (trimmed bands)."""
+        window, stride = window_stride
+        assume(stride % cell == 0 and stride * 64 // window % cell == 0)
+        cfg = DetectorConfig(features=FeatureConfig(
+            hog=HogParams(cell_px=cell, per_channel=per_channel),
+            hist_bins=hist_bins, spatial_px=spatial_px))
+        rx = data.draw(st.integers(0, stride - 1))
+        ry = data.draw(st.integers(0, stride - 1))
+        w, h = window + kx * stride + rx, window + ky * stride + ry
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        frame = Raster(rng.integers(0, 256, (h + 6, w, 3)).astype(np.uint8))
+        band = BandConfig(3, 3 + h, window, stride)
+        plan = plan_windows(w, h + 6, [band], cell_px=cell)
+        nx, ny = plan.counts[0]
+        scaled, ss = _scaled_band(frame, band, nx, ny, 64)
+        rows = list(iter_window_features(frame, plan, cfg))
+        assert len(rows) == plan.total_windows
+        for (_, x, y), fv in rows:
+            xs, ys = x // stride * ss, (y - band.y_top) // stride * ss
+            cut = Raster(scaled.pixels[ys:ys + 64, xs:xs + 64])
+            want = per_window_features(cut, cfg.features)
+            assert fv.dtype == want.dtype and fv.shape == want.shape
+            assert fv.tobytes() == want.tobytes()
+            assert extract_features(cut, cfg.features).values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [3, 2])
+    def test_stride_off_the_cell_grid_rejected(self, car_model, n):
+        # a 16 px cell with windows every 8 px passes plan_windows' default
+        # 8 px check; the windows must not take their neighbours' blocks
+        side = 64 + 8 * (n - 1)
+        frame = Raster(np.random.default_rng(3).integers(0, 256, (side, side, 3)).astype(np.uint8))
+        plan = plan_windows(side, side, [BandConfig(0, side, 64, 8)])
+        cfg = DetectorConfig(features=FeatureConfig(hog=HogParams(cell_px=16)))
+        # with n even the band is not whole cells and its block grid refuses it first
+        match = "stride 8 px .* 16 px" if n % 2 else "divisible by the cell size"
+        with pytest.raises(ValueError, match=match):
+            list(iter_window_features(frame, plan, cfg))
+        with pytest.raises(ValueError, match=match):
+            detect_cars(frame, car_model, plan, cfg)
 
 
 class TestHeatmap:
