@@ -110,7 +110,7 @@ def _build_parser(defaults: dict) -> argparse.ArgumentParser:
 
     p = sub.add_parser("lanes", help="detect lane boundary lines")
     p.add_argument("image")
-    p.add_argument("--horizon-frac", type=_positive_float, default=d("horizon_frac", 0.6))
+    p.add_argument("--horizon-frac", type=_unit_float, default=d("horizon_frac", 0.6))
     p.add_argument("--top-width-frac", type=_positive_float, default=d("top_width_frac", 0.2))
     p.add_argument("--edge-threshold", type=_nonneg_int, default=d("edge_threshold", 60))
     p.add_argument("--min-votes", type=_positive_int, default=d("min_votes", 30))
@@ -300,7 +300,7 @@ def _cmd_extract(args) -> dict:
             raise ValueError(f"label for {name!r} must be 0 or 1, got {label!r}")
         fv = extract_features(load_pnm(Path(args.patch_dir) / name), cfg)
         layout = fv.layout
-        rows.append(label + "," + ",".join(repr(float(v)) for v in fv.values))
+        rows.append(label + "," + ",".join(map(repr, fv.values.tolist())))
     outputs = {Path(args.out): ("\n".join(rows) + "\n").encode("ascii")}
     layout_path = args.layout_json or str(Path(args.out).with_suffix(".layout.json"))
     outputs[Path(layout_path)] = _json_bytes({k: list(v) for k, v in layout.items()})

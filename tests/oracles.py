@@ -4,8 +4,10 @@ Everything here is written as plainly as possible (literal loops, direct
 formulas, dense solvers) and deliberately shares no code with the package
 beyond its result types. The exceptions check how shared work is split, not
 the shared step itself: ``per_rotation_localize`` reuses the map rotation the
-fast search also calls, and ``per_window_features`` reuses the block grid, the
-HOG planes and the bilinear resample of a single patch.
+fast search also calls, ``per_window_features`` reuses the block grid, the
+HOG planes and the bilinear resample of a single patch, and
+``full_search_best_rightward`` picks the lane line from a full-range
+``hough_lines``.
 """
 
 import heapq
@@ -17,7 +19,7 @@ import numpy as np
 
 from rovercv.detector import Detection
 from rovercv.features import hog_block_grid, hog_planes
-from rovercv.geometry import Contour, HoughLine
+from rovercv.geometry import Contour, HoughLine, hough_lines
 from rovercv.mapping import (
     FREE,
     OCCUPIED,
@@ -253,15 +255,19 @@ def _refine_peak(xs, ys, rho_bin: float, theta_bin_deg: float, rho_res: float, f
     return rho, theta_deg
 
 
-def per_peak_hough_lines(edges, rho_res=1.0, theta_res=1.0, min_votes=1, fit=_tls_line):
+def per_peak_hough_lines(edges, rho_res=1.0, theta_res=1.0, min_votes=1, fit=_tls_line,
+                         theta_range_deg=(0.0, 180.0)):
     """Hough lines refined one peak at a time, each refit scanning every edge pixel.
 
-    Peaks are 8-neighborhood local maxima of the accumulator (equal-valued
-    neighbors resolved in favor of the smaller (theta, rho) cell), refined by
-    ``_refine_peak`` with ``fit`` (the integer-moment ``_tls_line``, or
-    ``float_tls_line``); votes are recounted as the on-pixels within half a
-    pixel of the refined line. Sorted by votes descending, then (theta, rho).
+    Peaks are 8-neighborhood local maxima of the whole accumulator (equal-valued
+    neighbors resolved in favor of the smaller (theta, rho) cell). Those whose
+    theta column's angle lies outside ``theta_range_deg`` = [lo, hi) modulo 180
+    degrees are dropped; the rest are refined by ``_refine_peak`` with ``fit``
+    (the integer-moment ``_tls_line``, or ``float_tls_line``), and votes are
+    recounted as the on-pixels within half a pixel of the refined line. Sorted
+    by votes descending, then (theta, rho).
     """
+    lo, hi = theta_range_deg
     if edges.channels != 1:
         raise ValueError("expected a grayscale raster")
     ys, xs = np.nonzero(edges.pixels)
@@ -292,6 +298,8 @@ def per_peak_hough_lines(edges, rho_res=1.0, theta_res=1.0, min_votes=1, fit=_tl
 
     lines = []
     for r, t in zip(*np.nonzero(keep)):
+        if hi - lo < 180.0 and not (t * theta_res - lo) % 180.0 < hi - lo:
+            continue
         rho, theta_deg = _refine_peak(xs_f, ys_f, float((r - offs) * rho_res),
                                       float(t * theta_res), rho_res, fit)
         rad = np.deg2rad(theta_deg)
@@ -301,6 +309,14 @@ def per_peak_hough_lines(edges, rho_res=1.0, theta_res=1.0, min_votes=1, fit=_tl
             lines.append(HoughLine(rho=rho, theta_deg=theta_deg, votes=votes))
     lines.sort(key=lambda ln: (-ln.votes, ln.theta_deg, ln.rho))
     return lines
+
+
+def full_search_best_rightward(edges, cfg):
+    """Highest-vote line sloping down-right (theta past 90 deg plus the margin)."""
+    for ln in hough_lines(edges, min_votes=cfg.min_votes):
+        if ln.theta_deg >= 90.0 + cfg.horizontal_margin_deg and ln.theta_deg < 180.0:
+            return ln
+    return None
 
 
 def bfs_label_components(mask: np.ndarray, connectivity: int = 8):

@@ -81,6 +81,28 @@ def test_lanes_contract(tmp_path):
     assert lane["left"]["valid"] and lane["right"]["valid"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["frame.pnm", "lane.json", "lane.pnm"]
 
+@pytest.mark.parametrize("value", ["5", "-0.1", "nan"])
+def test_lanes_horizon_outside_frame_exits_two(tmp_path, capsys, value):
+    # a horizon below the frame left an empty search mask, and the call used to
+    # exit 0 with both sides invalid
+    frame, _ = road_frame()
+    src, out = tmp_path / "frame.pnm", tmp_path / "lane.json"
+    save_pnm(src, frame)
+    assert run(["lanes", str(src), f"--horizon-frac={value}", "--out", str(out)]) == 2
+    assert "argument --horizon-frac: " in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["frame.pnm"]
+
+
+def test_lanes_horizon_at_frame_edges_accepted(tmp_path):
+    frame, _ = road_frame()
+    src = tmp_path / "frame.pnm"
+    save_pnm(src, frame)
+    for value in ("0", "1"):
+        out = tmp_path / f"lane_{value}.json"
+        assert run(["lanes", str(src), "--horizon-frac", value, "--out", str(out)]) == 0
+        assert set(json.loads(out.read_text())) == {"left", "right"}
+
+
 def test_failed_write_leaves_no_output(tmp_path, capsys):
     frame, _ = road_frame()
     src = tmp_path / "frame.pnm"
@@ -288,6 +310,7 @@ def test_parser_dest_not_read_from_config_rejected(tmp_path, capsys, key):
     (["smooth", "angles.csv"], {"lam": float("nan")}, "lam"),
     (["map-build", "replay.jsonl"], {"cell_cm": float("inf")}, "cell_cm"),
     (["detect", "frames", "model.json"], {"min_score": float("nan")}, "min_score"),
+    (["lanes", "road.pnm"], {"horizon_frac": 5}, "horizon_frac"),
 ])
 def test_bad_config_value_exits_two(tmp_path, capsys, command, config, key):
     cfg = tmp_path / "cfg.json"

@@ -9,6 +9,7 @@ from oracles import (
     bfs_label_components,
     float_tls_line,
     flood_enclosed_area,
+    full_search_best_rightward,
     line_residual,
     per_component_contours,
     per_peak_hough_lines,
@@ -116,6 +117,67 @@ def segments_map(h, w, density, n_segments, seed):
         inside = (xs >= 0) & (xs < w) & (ys >= 0) & (ys < h)
         img[ys[inside], xs[inside]] = True
     return binary(img)
+
+
+@st.composite
+def theta_ranges(draw, theta_res):
+    """A theta_range_deg for columns every ``theta_res`` degrees: any range,
+    one that wraps past 180, one holding a single column, one between two
+    columns, or a whole half turn; all but the last shifted by whole half turns."""
+    n_theta = int(round(180.0 / theta_res))
+    kind = draw(st.sampled_from(["any", "wrap", "one_column", "no_column", "half_turn"]))
+    if kind == "half_turn":
+        lo = draw(st.floats(-360.0, 360.0))
+        return lo, lo + 180.0
+    if kind == "one_column":
+        a = draw(st.integers(0, n_theta - 1)) * theta_res
+        lo, hi = a - 0.25 * theta_res, a + 0.25 * theta_res
+    elif kind == "no_column":
+        a = draw(st.integers(0, n_theta - 2)) * theta_res
+        lo, hi = a + 0.25 * theta_res, a + 0.75 * theta_res
+    elif kind == "wrap":
+        lo = draw(st.floats(90.0, 179.0))
+        hi = draw(st.floats(180.5, lo + 179.0))
+    else:
+        lo = draw(st.floats(0.0, 180.0))
+        hi = lo + draw(st.floats(0.01, 179.0))
+    turn = 180.0 * draw(st.integers(-2, 2))
+    return lo + turn, hi + turn
+
+
+class TestHoughThetaRange:
+    """A theta range keeps exactly the lines whose peaks lie in it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 40), st.sampled_from([0.0, 0.01, 0.05, 0.2, 0.6]),
+           st.integers(0, 3), st.sampled_from([1.0, 0.5, 2.0]), st.sampled_from([0.7, 1.0, 3.0]),
+           st.integers(1, 5), st.integers(0, 2**32 - 1), st.data())
+    def test_random_sparse_maps(self, h, w, density, n_segments, rho_res, theta_res, min_votes,
+                                seed, data):
+        theta_range_deg = data.draw(theta_ranges(theta_res))
+        edges = segments_map(h, w, density, n_segments, seed)
+        assert (hough_lines(edges, rho_res, theta_res, min_votes, theta_range_deg=theta_range_deg)
+                == per_peak_hough_lines(edges, rho_res, theta_res, min_votes,
+                                        theta_range_deg=theta_range_deg))
+
+    @pytest.mark.parametrize("theta_range_deg", [(98, 182), (0, 90), (-30.5, 12), (179, 180),
+                                                 (44.5, 45.5), (45.2, 45.8)])
+    def test_road_frames_mirrors_and_noise(self, theta_range_deg):
+        edges, _ = _lane_edges(road_frame()[0], LaneConfig())
+        for img in (edges, Raster(edges.pixels[:, ::-1]), noise_edges()):
+            lines = hough_lines(img, theta_range_deg=theta_range_deg)
+            assert lines == per_peak_hough_lines(img, theta_range_deg=theta_range_deg)
+            # and they are the full search's lines of those peaks, in its order
+            full = iter(hough_lines(img))
+            assert all(any(ln == other for other in full) for ln in lines)
+
+    def test_default_range_is_the_whole_half_turn(self):
+        edges = noise_edges()
+        assert (hough_lines(edges) == hough_lines(edges, theta_range_deg=(0, 180))
+                == hough_lines(edges, theta_range_deg=(-97.5, 82.5)))
+
+    def test_range_without_columns_finds_nothing(self):
+        assert hough_lines(noise_edges(), theta_range_deg=(10.2, 10.8)) == []
 
 
 class TestHoughMatchesPerPeakOracle:
@@ -280,6 +342,16 @@ class TestHoughParameters:
         img[5, :] = 255
         with pytest.raises(ValueError, match=name):
             hough_lines(binary(img), **kwargs)
+
+    @pytest.mark.parametrize("theta_range_deg", [
+        (float("nan"), 90.0), (0.0, float("inf")), (-float("inf"), 0.0), (10.0, 10.0),
+        (20.0, 10.0), (0.0, 180.5), (-1.0, 180.0),
+    ])
+    def test_bad_theta_range_rejected(self, theta_range_deg):
+        img = np.zeros((10, 10), dtype=np.uint8)
+        img[5, :] = 255
+        with pytest.raises(ValueError, match="theta_range_deg"):
+            hough_lines(binary(img), theta_range_deg=theta_range_deg)
 
     def test_whole_half_turn_theta_bin_accepted(self):
         img = np.zeros((10, 10), dtype=np.uint8)
@@ -536,3 +608,38 @@ class TestDetectLane:
         # image y grows downward: left boundary leans right as y decreases
         assert (lane.left.x1 - lane.left.x0) * (lane.left.y1 - lane.left.y0) < 0
         assert (lane.right.x1 - lane.right.x0) * (lane.right.y1 - lane.right.y0) > 0
+
+    @pytest.mark.parametrize("cfg", [LaneConfig(), LaneConfig(horizontal_margin_deg=0.0),
+                                     LaneConfig(horizontal_margin_deg=30.0, min_votes=5)])
+    def test_equals_full_search(self, monkeypatch, cfg):
+        # the rightward search seeds only columns near its range; the oracle
+        # picks the same line from every line of the full range
+        frames = []
+        for kwargs in ({}, {"left_bottom_x": 80.0, "right_top_x": 190.0}):
+            frame, _ = road_frame(**kwargs)
+            frames += [frame, Raster(frame.pixels[:, ::-1])]
+        rng = np.random.default_rng(8)
+        frames += [Raster(rng.integers(0, 256, (360, 640, 3)).astype(np.uint8))
+                   for _ in range(2)]
+        lanes = [detect_lane(frame, cfg) for frame in frames]
+        monkeypatch.setattr(geometry, "_best_rightward", full_search_best_rightward)
+        assert lanes == [detect_lane(frame, cfg) for frame in frames]
+        assert all(lane.left.valid and lane.right.valid for lane in lanes[:4])
+
+
+class TestLaneConfig:
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"horizon_frac": 5.0}, "horizon_frac"), ({"horizon_frac": -0.1}, "horizon_frac"),
+        ({"horizon_frac": float("nan")}, "horizon_frac"),
+        ({"horizontal_margin_deg": 90.0}, "horizontal_margin_deg"),
+        ({"horizontal_margin_deg": -1.0}, "horizontal_margin_deg"),
+        ({"horizontal_margin_deg": float("nan")}, "horizontal_margin_deg"),
+        ({"horizontal_margin_deg": float("inf")}, "horizontal_margin_deg"),
+    ])
+    def test_bad_field_rejected(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            LaneConfig(**kwargs)
+
+    def test_range_ends_accepted(self):
+        LaneConfig(horizon_frac=0.0, horizontal_margin_deg=0.0)
+        LaneConfig(horizon_frac=1.0, horizontal_margin_deg=89.9)
