@@ -10,10 +10,9 @@ from .detector import (
     BandConfig,
     Detection,
     DetectorConfig,
-    Heatmap,
     WindowPlan,
-    detect_and_fuse,
     detect_cars,
+    detect_sequence,
     heatmap_fuse,
     plan_windows,
     threshold_boxes,

@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 1 runtime/domain error (message on stderr), 2 usage or
 configuration error. No output file is written when the exit code is nonzero.
+
+Each subcommand's handler is a generator of (path, bytes) outputs; ``run``
+writes each to a temporary file as it arrives and renames them all at the end.
 """
 
 import argparse
@@ -9,6 +12,8 @@ import json
 import math
 import os
 import sys
+from contextlib import suppress
+from itertools import takewhile
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +69,8 @@ _unit_float = _ranged(float, lambda v: 0 <= v <= 1, "in [0, 1]")
 _finite_float = _ranged(float, math.isfinite, "a finite number")
 _positive_int = _ranged(int, lambda v: v > 0, "positive")
 _nonneg_int = _ranged(int, lambda v: v >= 0, "non-negative")
+_byte_int = _ranged(int, lambda v: 0 <= v <= 255, "in [0, 255]")
+_two_plus_int = _ranged(int, lambda v: v >= 2, "at least 2")
 
 
 def _build_parser(defaults: dict) -> argparse.ArgumentParser:
@@ -93,7 +100,7 @@ def _build_parser(defaults: dict) -> argparse.ArgumentParser:
                    default=d("distance_cm"))
     p.add_argument("--length-cm", type=_positive_float, required="length_cm" not in defaults,
                    default=d("length_cm"))
-    p.add_argument("--edge-threshold", type=_nonneg_int, default=d("edge_threshold", 60))
+    p.add_argument("--edge-threshold", type=_byte_int, default=d("edge_threshold", 60))
     p.add_argument("--out", default="camera.json")
     p.set_defaults(handler=_cmd_calibrate)
 
@@ -112,7 +119,7 @@ def _build_parser(defaults: dict) -> argparse.ArgumentParser:
     p.add_argument("image")
     p.add_argument("--horizon-frac", type=_unit_float, default=d("horizon_frac", 0.6))
     p.add_argument("--top-width-frac", type=_positive_float, default=d("top_width_frac", 0.2))
-    p.add_argument("--edge-threshold", type=_nonneg_int, default=d("edge_threshold", 60))
+    p.add_argument("--edge-threshold", type=_byte_int, default=d("edge_threshold", 60))
     p.add_argument("--min-votes", type=_positive_int, default=d("min_votes", 30))
     p.add_argument("--blur-passes", type=_nonneg_int, default=d("blur_passes", 1))
     p.add_argument("--out", default="lane.json")
@@ -124,8 +131,8 @@ def _build_parser(defaults: dict) -> argparse.ArgumentParser:
     p.add_argument("labels_csv", help="rows of <filename>,<label 0|1>")
     p.add_argument("--hist-bins", type=_positive_int, default=d("hist_bins", 32))
     p.add_argument("--spatial-px", type=_positive_int, default=d("spatial_px", 32))
-    p.add_argument("--hog-cell", type=_positive_int, default=d("hog_cell", 8))
-    p.add_argument("--hog-bins", type=_positive_int, default=d("hog_bins", 9))
+    p.add_argument("--hog-cell", type=_two_plus_int, default=d("hog_cell", 8))
+    p.add_argument("--hog-bins", type=_two_plus_int, default=d("hog_bins", 9))
     p.add_argument("--hog-block-cells", type=_positive_int, default=d("hog_block_cells", 2))
     p.add_argument("--hog-per-channel", action="store_true",
                    default=d("hog_per_channel", False))
@@ -215,10 +222,10 @@ def _json_bytes(obj) -> bytes:
     return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("ascii")
 
 
-def _cmd_calibrate(args) -> dict:
+def _cmd_calibrate(args):
     model = calibrate_from_image(load_pnm(args.image), args.distance_cm, args.length_cm,
                                  edge_threshold=args.edge_threshold)
-    return {Path(args.out): _json_bytes(model.to_dict())}
+    yield Path(args.out), _json_bytes(model.to_dict())
 
 
 def _load_markers(path, shape):
@@ -228,7 +235,7 @@ def _load_markers(path, shape):
     return LabelMask(seeds.pixels.astype(np.int32), num_labels=int(seeds.pixels.max()) + 1)
 
 
-def _cmd_segment(args) -> dict:
+def _cmd_segment(args):
     img = load_pnm(args.image)
     cfg = SegmentConfig(blur_passes=args.blur_passes, kmeans_k=args.k)
     markers = None
@@ -242,8 +249,8 @@ def _cmd_segment(args) -> dict:
         "method": args.method,
         "params": {"blur_passes": args.blur_passes, "k": args.k},
     }
-    return {Path(args.out_mask): write_pnm(out_mask),
-            Path(args.out_json): _json_bytes(sidecar)}
+    yield Path(args.out_mask), write_pnm(out_mask)
+    yield Path(args.out_json), _json_bytes(sidecar)
 
 
 def _side_dict(side) -> dict:
@@ -251,33 +258,33 @@ def _side_dict(side) -> dict:
 
 
 def _draw_segment(pixels, side, color):
+    """Paint a 3x3 stamp at 2n+1 evenly spaced points of the segment, n being
+    its longer extent in px; the stamps are clipped to the frame."""
     h, w = pixels.shape[:2]
     steps = int(max(abs(side.x1 - side.x0), abs(side.y1 - side.y0))) * 2 + 1
-    for t in np.linspace(0.0, 1.0, steps):
-        x = int(round(side.x0 + t * (side.x1 - side.x0)))
-        y = int(round(side.y0 + t * (side.y1 - side.y0)))
-        for dy in (-1, 0, 1):
-            for dx in (-1, 0, 1):
-                if 0 <= y + dy < h and 0 <= x + dx < w:
-                    pixels[y + dy, x + dx] = color
+    t, d = np.linspace(0.0, 1.0, steps)[:, None], np.arange(9)
+    # np.rint rounds ties to even, as round does
+    ys = (np.rint(side.y0 + t * (side.y1 - side.y0)) + d // 3 - 1).astype(np.int64).ravel()
+    xs = (np.rint(side.x0 + t * (side.x1 - side.x0)) + d % 3 - 1).astype(np.int64).ravel()
+    inside = (ys >= 0) & (ys < h) & (xs >= 0) & (xs < w)
+    pixels[ys[inside], xs[inside]] = color
 
 
-def _cmd_lanes(args) -> dict:
+def _cmd_lanes(args):
     frame = load_pnm(args.image)
     cfg = LaneConfig(horizon_frac=args.horizon_frac, top_width_frac=args.top_width_frac,
                      edge_threshold=args.edge_threshold, min_votes=args.min_votes,
                      blur_passes=args.blur_passes)
     lane = detect_lane(frame, cfg)
-    outputs = {Path(args.out): _json_bytes({"left": _side_dict(lane.left),
-                                            "right": _side_dict(lane.right)})}
+    yield Path(args.out), _json_bytes({"left": _side_dict(lane.left),
+                                       "right": _side_dict(lane.right)})
     if args.out_image:
         annotated = frame.pixels.copy()
         color = np.array([255, 0, 0], dtype=np.uint8) if frame.channels == 3 else np.uint8(255)
         for side in (lane.left, lane.right):
             if side.valid:
                 _draw_segment(annotated, side, color)
-        outputs[Path(args.out_image)] = write_pnm(Raster(annotated))
-    return outputs
+        yield Path(args.out_image), write_pnm(Raster(annotated))
 
 
 def _feature_config(args) -> FeatureConfig:
@@ -287,7 +294,7 @@ def _feature_config(args) -> FeatureConfig:
                          hist_bins=args.hist_bins, spatial_px=args.spatial_px)
 
 
-def _cmd_extract(args) -> dict:
+def _cmd_extract(args):
     cfg = _feature_config(args)
     rows = []
     labels_text = Path(args.labels_csv).read_text().strip()
@@ -301,10 +308,9 @@ def _cmd_extract(args) -> dict:
         fv = extract_features(load_pnm(Path(args.patch_dir) / name), cfg)
         layout = fv.layout
         rows.append(label + "," + ",".join(map(repr, fv.values.tolist())))
-    outputs = {Path(args.out): ("\n".join(rows) + "\n").encode("ascii")}
+    yield Path(args.out), ("\n".join(rows) + "\n").encode("ascii")
     layout_path = args.layout_json or str(Path(args.out).with_suffix(".layout.json"))
-    outputs[Path(layout_path)] = _json_bytes({k: list(v) for k, v in layout.items()})
-    return outputs
+    yield Path(layout_path), _json_bytes({k: list(v) for k, v in layout.items()})
 
 
 def _read_features_csv(path) -> tuple:
@@ -319,10 +325,10 @@ def _read_features_csv(path) -> tuple:
     return np.asarray(rows, dtype=np.float64), np.asarray(labels)
 
 
-def _cmd_train(args) -> dict:
+def _cmd_train(args):
     X, y = _read_features_csv(args.features_csv)
     model = svm_train(X, y, lambda_=args.lam, epochs=args.epochs, seed=args.seed)
-    return {Path(args.out): _json_bytes(model_to_dict(model))}
+    yield Path(args.out), _json_bytes(model_to_dict(model))
 
 
 def _bands_from_config(raw) -> tuple:
@@ -334,35 +340,42 @@ def _bands_from_config(raw) -> tuple:
         raise UsageError(f"bad bands configuration: {exc}") from None
 
 
-def _cmd_detect(args) -> dict:
+def _cmd_detect(args):
+    """Score the frames one at a time; the plan takes its size from the first."""
     frame_paths = sorted(Path(args.frame_dir).glob("*.pnm"))
     if not frame_paths:
         raise ValueError(f"no .pnm frames found in {args.frame_dir}")
-    frames = [load_pnm(p) for p in frame_paths]
-    w, h = frames[0].width, frames[0].height
-    if any(f.width != w or f.height != h for f in frames):
-        raise ValueError("all frames must share one size")
+    frame = load_pnm(frame_paths[0])
     model = model_from_dict(json.loads(Path(args.model_json).read_text()))
     bands = _bands_from_config(args.bands) if args.bands else DEFAULT_BANDS
     try:
-        plan = plan_windows(w, h, bands)
+        plan = plan_windows(frame.width, frame.height, bands)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     cfg = DetectorConfig(min_score=args.min_score, frame_memory=args.frame_memory)
-    fused = detect_sequence(frames, model, plan, cfg)
-    outputs = {}
+
+    def clip():
+        nonlocal frame
+        yield frame
+        for path in frame_paths[1:]:
+            frame = load_pnm(path)
+            if (frame.width, frame.height) != (plan.frame_w, plan.frame_h):
+                raise ValueError(f"frame {path} is {frame.width}x{frame.height}, but "
+                                 f"{frame_paths[0].name} is {plan.frame_w}x{plan.frame_h}")
+            yield frame
+
     out_dir = Path(args.out_dir)
-    for path, frame, boxes in zip(frame_paths, frames, fused):
+    # detect_sequence pulls one frame per result, so ``frame`` is the one just scored
+    for path, boxes in zip(frame_paths, detect_sequence(clip(), model, plan, cfg)):
         record = {"frame": path.stem,
                   "boxes": [{"x": b.x, "y": b.y, "w": b.w, "h": b.h, "score": b.score}
                             for b in boxes]}
-        outputs[out_dir / f"{path.stem}.json"] = _json_bytes(record)
+        yield out_dir / f"{path.stem}.json", _json_bytes(record)
         if args.annotate:
-            outputs[out_dir / f"{path.stem}.pnm"] = write_pnm(draw_boxes(frame, boxes))
-    return outputs
+            yield out_dir / f"{path.stem}.pnm", write_pnm(draw_boxes(frame, boxes))
 
 
-def _cmd_map_build(args) -> dict:
+def _cmd_map_build(args):
     replay_path = Path(args.replay_jsonl)
     base = replay_path.parent
     cfg = ExploreConfig(method=args.method,
@@ -380,10 +393,10 @@ def _cmd_map_build(args) -> dict:
         frame = load_pnm(base / step["frame"])
         world, pose = explore_step(world, pose, frame,
                                    float(step["forward_cm"]), float(step["rotate_deg"]), cfg)
-    return {Path(args.out): map_to_bytes(world)}
+    yield Path(args.out), map_to_bytes(world)
 
 
-def _cmd_localize(args) -> dict:
+def _cmd_localize(args):
     global_map = map_from_bytes(Path(args.global_map).read_bytes())
     partial = map_from_bytes(Path(args.partial_map).read_bytes())
     cfg = LocalizeConfig(min_known=args.min_known, min_score=args.localize_min_score,
@@ -391,7 +404,7 @@ def _cmd_localize(args) -> dict:
     result = localize(global_map, partial, cfg)
     record = {"x": result.pose.x, "y": result.pose.y, "theta": result.pose.theta,
               "score": result.score}
-    return {Path(args.out): _json_bytes(record)}
+    yield Path(args.out), _json_bytes(record)
 
 
 def _read_angles_csv(path) -> AngleSeries:
@@ -406,7 +419,7 @@ def _read_angles_csv(path) -> AngleSeries:
     return AngleSeries(np.asarray(angles), tuple(ids))
 
 
-def _cmd_smooth(args) -> dict:
+def _cmd_smooth(args):
     series = _read_angles_csv(args.angles_csv)
     smoothed = smooth_series(series, args.lam)
     values = smoothed.angles
@@ -414,7 +427,7 @@ def _cmd_smooth(args) -> dict:
         values = np.array([bin_angle(a, args.bin_width) for a in values])
     body = "frame_id,angle_deg\n" + "".join(
         f"{fid},{repr(float(a))}\n" for fid, a in zip(smoothed.frame_ids, values))
-    return {Path(args.out): body.encode("ascii")}
+    yield Path(args.out), body.encode("ascii")
 
 
 def run(argv=None) -> int:
@@ -433,39 +446,44 @@ def run(argv=None) -> int:
             print("config error: expected a JSON object", file=sys.stderr)
             return 2
 
+    staged, made = {}, []  # output path -> its temporary file; directories made for them
+    writing = None  # the output being staged or renamed, which an OSError then names
     try:
         args = _parse_args(argv, defaults)
-        outputs = args.handler(args)
+        for writing, data in args.handler(args):
+            _stage(writing, data, staged, made)
+            writing = data = None  # between outputs, with the bytes already freed
+        for writing, tmp in staged.items():
+            os.replace(tmp, writing)
+        staged, made = {}, []  # all in place: nothing for the clean-up to remove
+        return 0
     except SystemExit as exc:
         return int(exc.code or 0)
     except UsageError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        where = f"cannot write {writing}: " if writing else ""
+        print(f"error: {where}{exc}", file=sys.stderr)
         return 1
+    finally:
+        with suppress(OSError):
+            for tmp in staged.values():
+                tmp.unlink(missing_ok=True)
+            for directory in reversed(made):
+                directory.rmdir()
 
-    return _write_outputs(outputs)
 
-
-def _write_outputs(outputs: dict) -> int:
-    """Write every output to a temporary file beside it, then rename each into
-    place, so an OS error while writing leaves neither outputs nor temporaries."""
-    staged = []
-    try:
-        for path, data in outputs.items():
-            path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-            staged.append(tmp)
-            tmp.write_bytes(data)
-        for tmp, path in zip(staged, outputs):
-            os.replace(tmp, path)
-    except OSError as exc:
-        for tmp in staged:
-            tmp.unlink(missing_ok=True)
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-        return 1
-    return 0
+def _stage(path: Path, data: bytes, staged: dict, made: list):
+    """Write ``data`` to ``path``'s temporary file beside it, first making, and
+    adding to ``made``, the directories it lacks. A path given again is rewritten."""
+    if path not in staged:
+        missing = list(takewhile(lambda d: not d.exists(), (path.parent, *path.parent.parents)))
+        for directory in reversed(missing):
+            directory.mkdir()
+            made.append(directory)
+        staged[path] = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    staged[path].write_bytes(data)
 
 
 def main():

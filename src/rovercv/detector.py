@@ -7,7 +7,9 @@ summing Gaussian splats into a heatmap and thresholding at half its peak.
 """
 
 import math
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -47,6 +49,7 @@ class WindowPlan:
     bands: tuple
     counts: tuple  # per band (nx, ny)
     total_windows: int
+    features: FeatureConfig  # what describes the windows; fixes the cell and patch size
 
 
 @dataclass(frozen=True)
@@ -58,32 +61,26 @@ class Detection:
     score: float
 
 
-@dataclass(frozen=True, eq=False)
-class Heatmap:
-    values: np.ndarray
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-
 @dataclass(frozen=True)
 class DetectorConfig:
-    features: FeatureConfig = field(default_factory=FeatureConfig)
     min_score: float = 0.0
     frame_memory: int = 1
 
+    def __post_init__(self):
+        if self.frame_memory < 1:
+            raise ValueError("frame_memory must be at least 1")
 
-def plan_windows(frame_w: int, frame_h: int, bands, cell_px: int = 8,
-                 canonical_px: int = 64) -> WindowPlan:
-    """Validate a band layout and count its windows in closed form."""
+
+def plan_windows(frame_w: int, frame_h: int, bands,
+                 features: FeatureConfig = FeatureConfig()) -> WindowPlan:
+    """Validate a band layout against the HOG cell and patch size of ``features``,
+    the descriptor its windows get, and count its windows in closed form."""
     bands = tuple(bands)
+    cell_px, canonical_px = features.hog.cell_px, features.patch_px
     if not bands:
         raise ValueError("at least one band is required")
+    if canonical_px % cell_px:
+        raise ValueError(f"the {canonical_px} px patch is not a multiple of the {cell_px} px HOG cell")
     counts = []
     total = 0
     for band in bands:
@@ -95,7 +92,7 @@ def plan_windows(frame_w: int, frame_h: int, bands, cell_px: int = 8,
         if band.stride_px <= 0:
             raise ValueError(f"band {band}: stride must be positive")
         if band.stride_px % cell_px:
-            raise ValueError(f"band {band}: stride must be a multiple of the {cell_px} px cell")
+            raise ValueError(f"band {band}: stride must be a multiple of the {cell_px} px HOG cell")
         scaled_stride, rem = divmod(band.stride_px * canonical_px, band.window_px)
         if rem or scaled_stride % cell_px:
             raise ValueError(
@@ -105,7 +102,7 @@ def plan_windows(frame_w: int, frame_h: int, bands, cell_px: int = 8,
         counts.append((nx, ny))
         total += nx * ny
     return WindowPlan(frame_w=frame_w, frame_h=frame_h, bands=bands,
-                      counts=tuple(counts), total_windows=total)
+                      counts=tuple(counts), total_windows=total, features=features)
 
 
 def iter_windows(plan: WindowPlan):
@@ -134,29 +131,21 @@ def _scaled_band(frame: Raster, band: BandConfig, nx: int, ny: int, canonical: i
     return Raster(scaled[:cover_h, :cover_w]), ss
 
 
-def _band_features(frame: Raster, plan: WindowPlan, cfg: DetectorConfig):
+def _band_features(frame: Raster, plan: WindowPlan):
     """Yield each band's descriptor matrix, one row per window in plan order."""
     if frame.channels != 3:
         raise ValueError("detection frames must be RGB")
-    fc = cfg.features
+    fc = plan.features
     for band, (nx, ny) in zip(plan.bands, plan.counts):
         scaled, ss = _scaled_band(frame, band, nx, ny, fc.patch_px)
         grids = [hog_block_grid(plane, fc.hog) for plane in hog_planes(scaled, fc.hog)]
         yield window_features(scaled, grids, ny, nx, ss, fc)
 
 
-def iter_window_features(frame: Raster, plan: WindowPlan, cfg: DetectorConfig = DetectorConfig()):
-    """Yield ((band, x, y), feature vector) per window, in plan order; each vector
-    equals extract_features of the window cut out of its scaled band, bit for bit."""
-    rows = (row for matrix in _band_features(frame, plan, cfg) for row in matrix)
-    for (b, y, x), fv in zip(iter_windows(plan), rows):
-        yield (b, x, y), fv
-
-
 def detect_cars(frame: Raster, model: LinearModel, plan: WindowPlan,
                 cfg: DetectorConfig = DetectorConfig()) -> list:
     """Score every planned window; keep those above cfg.min_score, in plan order."""
-    scores = svm_score_many(model, np.vstack(list(_band_features(frame, plan, cfg))))
+    scores = svm_score_many(model, np.vstack(list(_band_features(frame, plan))))
     dets = []
     for (b, y, x), score in zip(iter_windows(plan), scores):
         if score > cfg.min_score:
@@ -165,8 +154,8 @@ def detect_cars(frame: Raster, model: LinearModel, plan: WindowPlan,
     return dets
 
 
-def heatmap_fuse(dets, frame_w: int, frame_h: int) -> Heatmap:
-    """Accumulate one unit-amplitude Gaussian splat per detection box."""
+def heatmap_fuse(dets, frame_w: int, frame_h: int) -> np.ndarray:
+    """A frame_h x frame_w float64 heatmap: one unit-amplitude Gaussian splat per box."""
     heat = np.zeros((frame_h, frame_w), dtype=np.float64)
     for det in dets:
         if det.w <= 0 or det.h <= 0 or det.x < 0 or det.y < 0 \
@@ -183,12 +172,11 @@ def heatmap_fuse(dets, frame_w: int, frame_h: int) -> Heatmap:
         gx = np.exp(-((np.arange(x_lo, x_hi + 1) - cx) ** 2) / (2.0 * sx * sx))
         gy = np.exp(-((np.arange(y_lo, y_hi + 1) - cy) ** 2) / (2.0 * sy * sy))
         heat[y_lo:y_hi + 1, x_lo:x_hi + 1] += np.outer(gy, gx)
-    return Heatmap(values=heat)
+    return heat
 
 
-def threshold_boxes(heatmap: Heatmap) -> list:
+def threshold_boxes(values: np.ndarray) -> list:
     """Boxes from the connected regions where heat >= half its peak."""
-    values = heatmap.values
     peak = float(values.max()) if values.size else 0.0
     if peak <= 0.0:
         return []
@@ -203,26 +191,19 @@ def threshold_boxes(heatmap: Heatmap) -> list:
     return boxes
 
 
-def detect_and_fuse(frame: Raster, model: LinearModel, plan: WindowPlan,
-                    cfg: DetectorConfig = DetectorConfig()) -> list:
-    return detect_sequence([frame], model, plan, cfg)[0]
-
-
 def detect_sequence(frames, model: LinearModel, plan: WindowPlan,
-                    cfg: DetectorConfig = DetectorConfig()) -> list:
-    """Per-frame fused boxes, summing heatmaps over the last cfg.frame_memory frames."""
-    memory = []
-    fused = []
+                    cfg: DetectorConfig = DetectorConfig()):
+    """Yield each frame's fused boxes as soon as it is scored: the boxes of the
+    sum, oldest first, of the last cfg.frame_memory frames' heatmaps. Frames are
+    pulled one per result; between results only the cfg.frame_memory - 1
+    heatmaps a later frame adds to its own are kept."""
+    memory = deque()
     for frame in frames:
-        dets = detect_cars(frame, model, plan, cfg)
-        memory.append(heatmap_fuse(dets, frame.width, frame.height).values)
-        if len(memory) > cfg.frame_memory:
-            memory.pop(0)
-        combined = memory[0].copy()
-        for extra in memory[1:]:
-            combined += extra
-        fused.append(threshold_boxes(Heatmap(values=combined)))
-    return fused
+        memory.append(heatmap_fuse(detect_cars(frame, model, plan, cfg), frame.width, frame.height))
+        boxes = threshold_boxes(reduce(np.add, memory))
+        if len(memory) == cfg.frame_memory:
+            memory.popleft()
+        yield boxes
 
 
 def draw_boxes(frame: Raster, dets, thickness: int = 3) -> Raster:

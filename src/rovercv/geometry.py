@@ -278,11 +278,12 @@ def _refine(votes: _Votes, order, indexed, cols, rows, part_px: int):
 def _seed_columns(n_theta: int, theta_res: float, theta_range_deg) -> np.ndarray:
     """Whether each theta column's angle lies in [lo, hi) modulo 180 degrees."""
     lo, hi = (float(v) for v in theta_range_deg)
-    width = hi - lo
-    if not (np.isfinite(lo) and np.isfinite(hi) and 0 < width <= 180):
+    if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi <= lo + 180):
         raise ValueError("theta_range_deg must be finite (lo, hi) with lo < hi <= lo + 180, "
                          f"got {theta_range_deg!r}")
-    if width == 180:
+    # hi = lo + 180 rounded can leave hi - lo a little above 180
+    width = hi - lo
+    if width >= 180:
         return np.ones(n_theta, dtype=bool)
     return (np.arange(n_theta) * theta_res - lo) % 180.0 < width
 

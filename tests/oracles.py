@@ -5,9 +5,10 @@ formulas, dense solvers) and deliberately shares no code with the package
 beyond its result types. The exceptions check how shared work is split, not
 the shared step itself: ``per_rotation_localize`` reuses the map rotation the
 fast search also calls, ``per_window_features`` reuses the block grid, the
-HOG planes and the bilinear resample of a single patch, and
+HOG planes and the bilinear resample of a single patch,
 ``full_search_best_rightward`` picks the lane line from a full-range
-``hough_lines``.
+``hough_lines``, and ``list_detect_sequence`` scores and fuses each frame
+with the detector's own stages.
 """
 
 import heapq
@@ -17,7 +18,7 @@ from itertools import count
 
 import numpy as np
 
-from rovercv.detector import Detection
+from rovercv.detector import Detection, detect_cars, heatmap_fuse, threshold_boxes
 from rovercv.features import hog_block_grid, hog_planes
 from rovercv.geometry import Contour, HoughLine, hough_lines
 from rovercv.mapping import (
@@ -503,3 +504,34 @@ def per_window_features(window, cfg):
         hist.append(np.bincount(idx, minlength=cfg.hist_bins).astype(np.float64))
     thumb = _resize_bilinear(window.pixels, cfg.spatial_px, cfg.spatial_px).reshape(-1)
     return np.concatenate(hog_part + hist + [thumb])
+
+
+def list_detect_sequence(frames, model, plan, cfg):
+    """Per-frame fused boxes as one list, summing heatmaps over the last
+    cfg.frame_memory frames; every frame is scored before the list returns."""
+    memory = []
+    fused = []
+    for frame in frames:
+        dets = detect_cars(frame, model, plan, cfg)
+        memory.append(heatmap_fuse(dets, frame.width, frame.height))
+        if len(memory) > cfg.frame_memory:
+            memory.pop(0)
+        combined = memory[0].copy()
+        for extra in memory[1:]:
+            combined += extra
+        fused.append(threshold_boxes(combined))
+    return fused
+
+
+def stamped_segment(pixels, side, color):
+    """Paint a 3x3 stamp at 2n+1 evenly spaced points of a lane segment, n
+    being its longer extent in px, one pixel at a time."""
+    h, w = pixels.shape[:2]
+    steps = int(max(abs(side.x1 - side.x0), abs(side.y1 - side.y0))) * 2 + 1
+    for t in np.linspace(0.0, 1.0, steps):
+        x = int(round(side.x0 + t * (side.x1 - side.x0)))
+        y = int(round(side.y0 + t * (side.y1 - side.y0)))
+        for dy in (-1, 0, 1):
+            for dx in (-1, 0, 1):
+                if 0 <= y + dy < h and 0 <= x + dx < w:
+                    pixels[y + dy, x + dx] = color

@@ -39,9 +39,10 @@ from rovercv.cli import run
 from rovercv.detector import (
     BandConfig,
     DetectorConfig,
-    detect_and_fuse,
-    iter_window_features,
+    detect_sequence,
+    iter_windows,
     plan_windows,
+    _band_features,
     _scaled_band,
 )
 from rovercv.features import extract_features
@@ -112,16 +113,16 @@ def test_c03_subsampling_equivalence():
     rng = np.random.default_rng(1003)
     frame = noise_frame(rng, w=256, h=128)
     plan = plan_windows(256, 128, DETECT_BANDS)
-    cfg = DetectorConfig()
     worst = 0.0
     checked = 0
-    for (b, x, y), fv in iter_window_features(frame, plan, cfg):
+    rows = (row for matrix in _band_features(frame, plan) for row in matrix)
+    for (b, y, x), fv in zip(iter_windows(plan), rows):
         band = plan.bands[b]
-        scaled, ss = _scaled_band(frame, band, *plan.counts[b], cfg.features.patch_px)
+        scaled, ss = _scaled_band(frame, band, *plan.counts[b], plan.features.patch_px)
         xs = (x // band.stride_px) * ss
         ys = ((y - band.y_top) // band.stride_px) * ss
         direct = extract_features(Raster(scaled.pixels[ys:ys + 64, xs:xs + 64]),
-                                  cfg.features).values
+                                  plan.features).values
         worst = max(worst, float(np.abs(fv - direct).max()))
         assert worst <= 1e-9
         checked += 1
@@ -205,7 +206,7 @@ def test_c06_end_to_end_detection():
         while n_cars == 2 and abs(xs[0] - xs[1]) < 128:
             xs = rng.choice(slots, size=n_cars, replace=False)
         frame, truth = frame_with_cars(rng, [(int(x), 32) for x in xs])
-        boxes = detect_and_fuse(frame, model, plan, cfg)
+        [boxes] = detect_sequence([frame], model, plan, cfg)
         assert len(boxes) == n_cars, f"frame {i}: {len(boxes)} boxes for {n_cars} cars"
         for t in truth:
             best = max((_iou((b.x, b.y, b.w, b.h), t) for b in boxes), default=0.0)

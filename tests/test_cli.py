@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import stamped_segment
 from scenes import (
     calibration_scene,
     car_patch,
@@ -13,9 +16,10 @@ from scenes import (
     road_frame,
     write_replay,
 )
-from rovercv.cli import run
+from rovercv.cli import _draw_segment, run
+from rovercv.geometry import LaneSide
 from rovercv.mapping import OccupancyMap, map_to_bytes
-from rovercv.raster import load_pnm, save_pnm
+from rovercv.raster import Raster, load_pnm, save_pnm
 
 @pytest.fixture()
 def calib_image(tmp_path):
@@ -103,6 +107,58 @@ def test_lanes_horizon_at_frame_edges_accepted(tmp_path):
         assert set(json.loads(out.read_text())) == {"left", "right"}
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-20.0, 60.0).map(lambda v: round(v * 2) / 2 if v > 20 else v),
+                min_size=4, max_size=4),
+       st.booleans())
+def test_draw_segment_matches_per_pixel_oracle(ends, rgb):
+    # half-integer points (mapped from part of the range) test the rounding of ties
+    x0, y0, x1, y1 = ends
+    side = LaneSide(x0=x0, y0=y0, x1=x1, y1=y1, valid=True)
+    shape, color = ((30, 40, 3), np.array([255, 0, 0], np.uint8)) if rgb else ((30, 40), np.uint8(255))
+    want = np.zeros(shape, np.uint8)
+    stamped_segment(want, side, color)
+    got = np.zeros(shape, np.uint8)
+    _draw_segment(got, side, color)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_lanes_edge_threshold_bounds_accepted(tmp_path):
+    frame, _ = road_frame()
+    src = tmp_path / "frame.pnm"
+    save_pnm(src, frame)
+    for value in ("0", "255"):
+        assert run(["lanes", str(src), "--edge-threshold", value,
+                    "--out", str(tmp_path / f"lane_{value}.json")]) == 0
+
+
+@pytest.mark.parametrize("command, flag, value, what", [
+    (["lanes", "road.pnm"], "--edge-threshold", "256", "in [0, 255]"),
+    (["lanes", "road.pnm"], "--edge-threshold", "-1", "in [0, 255]"),
+    (["calibrate", "book.pnm", "--distance-cm", "70", "--length-cm", "20"],
+     "--edge-threshold", "300", "in [0, 255]"),
+    (["extract", "patches", "labels.csv"], "--hog-cell", "1", "at least 2"),
+    (["extract", "patches", "labels.csv"], "--hog-bins", "1", "at least 2"),
+])
+def test_option_outside_library_range_exits_two(tmp_path, capsys, command, flag, value, what):
+    # rejected by the parser, before any input is read, instead of by the
+    # library with exit 1
+    out = tmp_path / "out"
+    assert run(command + [f"{flag}={value}", "--out", str(out)]) == 2
+    assert f"argument {flag}: {value} is not {what}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_output_path_given_twice_written_once(tmp_path):
+    patch_dir, labels = _write_patches(tmp_path, n_cars=1, n_noise=1)
+    out = tmp_path / "out" / "features.csv"
+    assert run(["extract", str(patch_dir), str(labels), "--out", str(out),
+                "--layout-json", str(out)]) == 0
+    # the later output wins, as it did when outputs were a dict
+    assert json.loads(out.read_text())["hog"] == [0, 1764]
+    assert [p.name for p in out.parent.iterdir()] == ["features.csv"]
+
+
 def test_failed_write_leaves_no_output(tmp_path, capsys):
     frame, _ = road_frame()
     src = tmp_path / "frame.pnm"
@@ -165,6 +221,30 @@ def test_extract_train_detect_chain(tmp_path):
     assert record["frame"] == "000000"
     assert len(record["boxes"]) == 1
     assert (det_dir / "000000.pnm").exists()
+
+def test_detect_frame_of_another_size_exits_one(tmp_path, capsys):
+    patch_dir, labels = _write_patches(tmp_path)
+    feats, model = tmp_path / "features.csv", tmp_path / "model.json"
+    assert run(["extract", str(patch_dir), str(labels), "--out", str(feats)]) == 0
+    assert run(["train", str(feats), "--out", str(model), "--epochs", "2"]) == 0
+    frames = tmp_path / "frames"
+    frames.mkdir()
+    rng = np.random.default_rng(2)
+    for i, h in enumerate((128, 128, 136, 128)):
+        save_pnm(frames / f"{i:06d}.pnm", Raster(rng.integers(0, 256, (h, 256, 3)).astype(np.uint8)))
+    cfg = tmp_path / "bands.json"
+    cfg.write_text(json.dumps({"bands": [
+        {"y_top": 32, "y_bottom": 96, "window_px": 64, "stride_px": 16}]}))
+    before = sorted(tmp_path.rglob("*"))
+    # two frames' outputs are written before the third fails; the run removes
+    # them and both directories it made
+    out_dir = tmp_path / "out" / "detections"
+    assert run(["--config", str(cfg), "detect", str(frames), str(model), "--annotate",
+                "--out-dir", str(out_dir)]) == 1
+    assert capsys.readouterr().err == (f"error: frame {frames / '000002.pnm'} is 256x136, "
+                                       f"but 000000.pnm is 256x128\n")
+    assert sorted(tmp_path.rglob("*")) == before
+
 
 def test_train_single_class_exits_one(tmp_path, capsys):
     feats = tmp_path / "feats.csv"
@@ -311,6 +391,11 @@ def test_parser_dest_not_read_from_config_rejected(tmp_path, capsys, key):
     (["map-build", "replay.jsonl"], {"cell_cm": float("inf")}, "cell_cm"),
     (["detect", "frames", "model.json"], {"min_score": float("nan")}, "min_score"),
     (["lanes", "road.pnm"], {"horizon_frac": 5}, "horizon_frac"),
+    (["lanes", "road.pnm"], {"edge_threshold": 300}, "edge_threshold"),
+    (["calibrate", "book.pnm", "--distance-cm", "70", "--length-cm", "20"],
+     {"edge_threshold": 256}, "edge_threshold"),
+    (["extract", "patches", "labels.csv"], {"hog_cell": 1}, "hog_cell"),
+    (["extract", "patches", "labels.csv"], {"hog_bins": 1}, "hog_bins"),
 ])
 def test_bad_config_value_exits_two(tmp_path, capsys, command, config, key):
     cfg = tmp_path / "cfg.json"

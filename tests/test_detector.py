@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import per_component_boxes, per_window_features
+from oracles import list_detect_sequence, per_component_boxes, per_window_features
 from scenes import frame_with_cars, noise_frame, training_set
 from rovercv.classifier import LinearModel, svm_train
 from rovercv.detector import (
@@ -13,16 +13,14 @@ from rovercv.detector import (
     BandConfig,
     Detection,
     DetectorConfig,
-    Heatmap,
-    detect_and_fuse,
     detect_cars,
     detect_sequence,
     draw_boxes,
     heatmap_fuse,
-    iter_window_features,
     iter_windows,
     plan_windows,
     threshold_boxes,
+    _band_features,
     _scaled_band,
 )
 from rovercv.features import FeatureConfig, HogParams, extract_features, feature_length
@@ -38,6 +36,17 @@ def car_model():
     X = np.vstack([extract_features(p).values for p in cars + noise])
     y = np.concatenate([np.ones(len(cars)), -np.ones(len(noise))])
     return svm_train(X, y, seed=42)
+
+
+def window_rows(frame, plan):
+    """((band, x, y), descriptor) per window in plan order, as detection composes them."""
+    rows = (row for matrix in _band_features(frame, plan) for row in matrix)
+    return [((b, x, y), fv) for (b, y, x), fv in zip(iter_windows(plan), rows)]
+
+
+def random_model(rng):
+    return LinearModel(weights=rng.normal(size=feature_length(FeatureConfig())), bias=0.0,
+                       feat_mean=np.zeros(1), feat_std=np.ones(1), lambda_=1e-4, epochs=1, seed=0)
 
 
 def iou(a, b):
@@ -74,6 +83,15 @@ class TestPlanWindows:
         with pytest.raises(ValueError, match="cell-aligned"):
             plan_windows(1280, 720, [BandConfig(400, 656, 96, 8)])
 
+    def test_patch_off_the_cell_grid_rejected(self):
+        with pytest.raises(ValueError, match="64 px patch is not a multiple of the 12 px HOG cell"):
+            plan_windows(1280, 720, DEFAULT_BANDS, FeatureConfig(hog=HogParams(cell_px=12)))
+
+    def test_plan_carries_its_features(self):
+        fc = FeatureConfig(hog=HogParams(cell_px=16), spatial_px=8)
+        assert plan_windows(1280, 720, [BandConfig(400, 656, 64, 32)], fc).features is fc
+        assert plan_windows(1280, 720, DEFAULT_BANDS).features == FeatureConfig()
+
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 4), st.integers(1, 6), st.integers(1, 5),
            st.sampled_from([(64, 16), (64, 32), (96, 24), (128, 32), (128, 64), (320, 160)]))
@@ -95,16 +113,15 @@ class TestSubsampling:
         rng = np.random.default_rng(77)
         frame = noise_frame(rng, w=256, h=128)
         plan = plan_windows(256, 128, TEST_BANDS)
-        cfg = DetectorConfig()
         checked = 0
-        for (b, x, y), fv in iter_window_features(frame, plan, cfg):
+        for (b, x, y), fv in window_rows(frame, plan):
             band = plan.bands[b]
             nx, ny = plan.counts[b]
-            scaled, ss = _scaled_band(frame, band, nx, ny, cfg.features.patch_px)
+            scaled, ss = _scaled_band(frame, band, nx, ny, plan.features.patch_px)
             xs = (x // band.stride_px) * ss
             ys = ((y - band.y_top) // band.stride_px) * ss
             patch = Raster(scaled.pixels[ys:ys + 64, xs:xs + 64])
-            direct = extract_features(patch, cfg.features).values
+            direct = extract_features(patch, plan.features).values
             assert np.abs(fv - direct).max() <= 1e-9
             checked += 1
         assert checked == plan.total_windows
@@ -121,68 +138,62 @@ class TestSubsampling:
         last window (edge-touching) or a few px past it (trimmed bands)."""
         window, stride = window_stride
         assume(stride % cell == 0 and stride * 64 // window % cell == 0)
-        cfg = DetectorConfig(features=FeatureConfig(
-            hog=HogParams(cell_px=cell, per_channel=per_channel),
-            hist_bins=hist_bins, spatial_px=spatial_px))
+        cfg = FeatureConfig(hog=HogParams(cell_px=cell, per_channel=per_channel),
+                            hist_bins=hist_bins, spatial_px=spatial_px)
         rx = data.draw(st.integers(0, stride - 1))
         ry = data.draw(st.integers(0, stride - 1))
         w, h = window + kx * stride + rx, window + ky * stride + ry
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         frame = Raster(rng.integers(0, 256, (h + 6, w, 3)).astype(np.uint8))
         band = BandConfig(3, 3 + h, window, stride)
-        plan = plan_windows(w, h + 6, [band], cell_px=cell)
+        plan = plan_windows(w, h + 6, [band], cfg)
         nx, ny = plan.counts[0]
         scaled, ss = _scaled_band(frame, band, nx, ny, 64)
-        rows = list(iter_window_features(frame, plan, cfg))
+        rows = window_rows(frame, plan)
         assert len(rows) == plan.total_windows
         for (_, x, y), fv in rows:
             xs, ys = x // stride * ss, (y - band.y_top) // stride * ss
             cut = Raster(scaled.pixels[ys:ys + 64, xs:xs + 64])
-            want = per_window_features(cut, cfg.features)
+            want = per_window_features(cut, cfg)
             assert fv.dtype == want.dtype and fv.shape == want.shape
             assert fv.tobytes() == want.tobytes()
-            assert extract_features(cut, cfg.features).values.tobytes() == want.tobytes()
+            assert extract_features(cut, cfg).values.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [3, 2])
-    def test_stride_off_the_cell_grid_rejected(self, car_model, n):
-        # a 16 px cell with windows every 8 px passes plan_windows' default
-        # 8 px check; the windows must not take their neighbours' blocks
+    def test_stride_off_the_cell_grid_rejected(self, n):
+        # windows every 8 px on a 16 px cell would take their neighbours'
+        # blocks; the planner knows the cell and names the band
         side = 64 + 8 * (n - 1)
-        frame = Raster(np.random.default_rng(3).integers(0, 256, (side, side, 3)).astype(np.uint8))
-        plan = plan_windows(side, side, [BandConfig(0, side, 64, 8)])
-        cfg = DetectorConfig(features=FeatureConfig(hog=HogParams(cell_px=16)))
-        # with n even the band is not whole cells and its block grid refuses it first
-        match = "stride 8 px .* 16 px" if n % 2 else "divisible by the cell size"
-        with pytest.raises(ValueError, match=match):
-            list(iter_window_features(frame, plan, cfg))
-        with pytest.raises(ValueError, match=match):
-            detect_cars(frame, car_model, plan, cfg)
+        band = BandConfig(0, side, 64, 8)
+        with pytest.raises(ValueError) as err:
+            plan_windows(side, side, [band], FeatureConfig(hog=HogParams(cell_px=16)))
+        assert str(err.value) == f"band {band}: stride must be a multiple of the 16 px HOG cell"
 
 
 class TestHeatmap:
     def test_empty_detections(self):
         heat = heatmap_fuse([], 40, 30)
-        assert heat.values.shape == (30, 40)
-        assert (heat.values == 0).all()
+        assert heat.shape == (30, 40) and heat.dtype == np.float64
+        assert (heat == 0).all()
 
     def test_single_box_peak_at_center(self):
         det = Detection(10, 6, 33, 33, 1.0)  # odd box: center falls on a pixel
         heat = heatmap_fuse([det], 80, 60)
         cy, cx = 6 + 16, 10 + 16
-        assert heat.values[cy, cx] == pytest.approx(1.0, abs=1e-9)
-        assert heat.values.max() == heat.values[cy, cx]
+        assert heat[cy, cx] == pytest.approx(1.0, abs=1e-9)
+        assert heat.max() == heat[cy, cx]
 
     def test_five_colocated_boxes_sum(self):
         det = Detection(10, 6, 33, 33, 1.0)
         heat = heatmap_fuse([det] * 5, 80, 60)
-        assert heat.values[6 + 16, 10 + 16] == pytest.approx(5.0, abs=1e-9)
+        assert heat[6 + 16, 10 + 16] == pytest.approx(5.0, abs=1e-9)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(8)
         dets = [Detection(int(rng.integers(0, 60)), int(rng.integers(0, 40)), 20, 20,
                           float(rng.random())) for _ in range(12)]
-        a = heatmap_fuse(dets, 100, 80).values
-        b = heatmap_fuse(dets[::-1], 100, 80).values
+        a = heatmap_fuse(dets, 100, 80)
+        b = heatmap_fuse(dets[::-1], 100, 80)
         assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
 
     def test_out_of_bounds_rejected(self):
@@ -206,7 +217,7 @@ class TestThresholdBoxes:
         assert (boxes[0].x, boxes[0].y, boxes[0].w, boxes[0].h) == (24, 16, 40, 40)
 
     def test_zero_heatmap(self):
-        assert threshold_boxes(Heatmap(np.zeros((10, 10)))) == []
+        assert threshold_boxes(np.zeros((10, 10))) == []
 
     def test_fusion_fixed_point(self):
         dets = [Detection(30, 20, 40, 44, 1.0), Detection(34, 24, 40, 44, 1.0),
@@ -227,8 +238,8 @@ class TestThresholdBoxes:
                               int(rng.integers(1, w + 1)), int(rng.integers(1, h + 1)), 1.0)
                     for _ in range(int(rng.integers(1, 8)))]
             dets = [Detection(d.x, d.y, min(d.w, w - d.x), min(d.h, h - d.y), 1.0) for d in dets]
-            values = heatmap_fuse(dets, w, h).values
-        assert threshold_boxes(Heatmap(values)) == per_component_boxes(values)
+            values = heatmap_fuse(dets, w, h)
+        assert threshold_boxes(values) == per_component_boxes(values)
 
     def test_components_disjoint(self):
         rng = np.random.default_rng(9)
@@ -261,7 +272,7 @@ class TestDetection:
         rng = np.random.default_rng(33)
         frame, truth = frame_with_cars(rng, [(16, 32), (160, 32)])
         plan = plan_windows(256, 128, TEST_BANDS)
-        boxes = detect_and_fuse(frame, car_model, plan, DetectorConfig(min_score=0.5))
+        [boxes] = detect_sequence([frame], car_model, plan, DetectorConfig(min_score=0.5))
         assert len(boxes) == 2
         matched = set()
         for t in truth:
@@ -274,7 +285,7 @@ class TestDetection:
         rng = np.random.default_rng(34)
         frame = noise_frame(rng)
         plan = plan_windows(256, 128, TEST_BANDS)
-        assert detect_and_fuse(frame, car_model, plan, DetectorConfig(min_score=0.5)) == []
+        assert list(detect_sequence([frame], car_model, plan, DetectorConfig(min_score=0.5))) == [[]]
 
     def test_frame_memory_carries_heat(self, car_model):
         rng = np.random.default_rng(35)
@@ -282,8 +293,46 @@ class TestDetection:
         without = noise_frame(rng)
         plan = plan_windows(256, 128, TEST_BANDS)
         cfg = DetectorConfig(min_score=0.5, frame_memory=2)
-        fused = detect_sequence([with_car, without], car_model, plan, cfg)
+        fused = list(detect_sequence([with_car, without], car_model, plan, cfg))
         assert fused[0] and fused[1]  # heat from frame 1 persists into frame 2
+
+    @pytest.mark.parametrize("frame_memory", [1, 2, 3, 4])
+    def test_streamed_equals_list_oracle(self, car_model, frame_memory):
+        rng = np.random.default_rng(37)
+        frames = [frame_with_cars(rng, cars)[0] for cars in
+                  ([(64, 32)], [], [(16, 32), (160, 32)], [], [], [(96, 32)])]
+        plan = plan_windows(256, 128, TEST_BANDS)
+        cfg = DetectorConfig(min_score=0.5, frame_memory=frame_memory)
+        want = list_detect_sequence(frames, car_model, plan, cfg)
+        assert any(want)
+        assert list(detect_sequence(iter(frames), car_model, plan, cfg)) == want
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 6), st.integers(1, 4), st.floats(-2.0, 2.0), st.integers(0, 2**32 - 1))
+    def test_pulls_one_frame_per_result(self, n, frame_memory, min_score, seed):
+        """The k-th result comes after exactly k frames were pulled, and the
+        results equal the list oracle's."""
+        rng = np.random.default_rng(seed)
+        frames = [noise_frame(rng, w=128, h=96) for _ in range(n)]
+        plan = plan_windows(128, 96, [BandConfig(0, 96, 64, 16)])
+        model = random_model(rng)
+        cfg = DetectorConfig(min_score=min_score, frame_memory=frame_memory)
+        pulled = []
+
+        def clip():
+            for frame in frames:
+                pulled.append(frame)
+                yield frame
+
+        results = []
+        for k, boxes in enumerate(detect_sequence(clip(), model, plan, cfg), 1):
+            assert len(pulled) == k
+            results.append(boxes)
+        assert results == list_detect_sequence(frames, model, plan, cfg)
+
+    def test_frame_memory_below_one_rejected(self):
+        with pytest.raises(ValueError, match="frame_memory must be at least 1"):
+            DetectorConfig(frame_memory=0)
 
     def test_default_bands_on_720p_frame(self, car_model):
         rng = np.random.default_rng(36)
@@ -307,9 +356,7 @@ class TestDetection:
         frame_w = max(b.window_px for b in bands) + extra_w
         plan = plan_windows(frame_w, max(b.y_bottom for b in bands), bands)
         rng = np.random.default_rng(seed)
-        model = LinearModel(weights=rng.normal(size=feature_length(FeatureConfig())), bias=0.0,
-                            feat_mean=np.zeros(1), feat_std=np.ones(1),
-                            lambda_=1e-4, epochs=1, seed=0)
+        model = random_model(rng)
         frame = noise_frame(rng, w=plan.frame_w, h=plan.frame_h)
         dets = detect_cars(frame, model, plan, DetectorConfig(min_score=-np.inf))
         assert len(dets) == plan.total_windows

@@ -174,7 +174,9 @@ class TestHoughThetaRange:
     def test_default_range_is_the_whole_half_turn(self):
         edges = noise_edges()
         assert (hough_lines(edges) == hough_lines(edges, theta_range_deg=(0, 180))
-                == hough_lines(edges, theta_range_deg=(-97.5, 82.5)))
+                == hough_lines(edges, theta_range_deg=(-97.5, 82.5))
+                # 513.0 is 332.99999999999994 + 180 rounded; their difference is above 180
+                == hough_lines(edges, theta_range_deg=(332.99999999999994, 513.0)))
 
     def test_range_without_columns_finds_nothing(self):
         assert hough_lines(noise_edges(), theta_range_deg=(10.2, 10.8)) == []
