@@ -32,6 +32,7 @@ from .features import FeatureConfig, HogParams, extract_features
 from .geometry import LaneConfig, detect_lane
 from .mapping import (
     ExploreConfig,
+    InsufficientContent,
     LocalizeConfig,
     OccupancyMap,
     Pose,
@@ -396,12 +397,22 @@ def _cmd_map_build(args):
     yield Path(args.out), map_to_bytes(world)
 
 
+def _read_map(path) -> OccupancyMap:
+    try:
+        return map_from_bytes(Path(path).read_bytes())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _cmd_localize(args):
-    global_map = map_from_bytes(Path(args.global_map).read_bytes())
-    partial = map_from_bytes(Path(args.partial_map).read_bytes())
+    global_map = _read_map(args.global_map)
+    partial = _read_map(args.partial_map)
     cfg = LocalizeConfig(min_known=args.min_known, min_score=args.localize_min_score,
                          min_overlap_frac=args.min_overlap_frac)
-    result = localize(global_map, partial, cfg)
+    try:
+        result = localize(global_map, partial, cfg)
+    except InsufficientContent as exc:
+        raise ValueError(f"{args.partial_map}: {exc}") from None
     record = {"x": result.pose.x, "y": result.pose.y, "theta": result.pose.theta,
               "score": result.score}
     yield Path(args.out), _json_bytes(record)

@@ -15,8 +15,9 @@ from .segmentation import LabelMask, SegmentConfig, segment_floor
 UNKNOWN, FREE, OCCUPIED = 0, 1, 2
 _STATE_TO_PNM = np.array([128, 255, 0], dtype=np.uint8)
 # localize scores every _COARSE_STEP_DEG-th degree on grids pooled _POOL x _POOL,
-# then re-scores the _KEEP best, and each degree within a step of them, unpooled
-_COARSE_STEP_DEG, _POOL, _KEEP = 2, 2, 4
+# then re-scores the _KEEP best, and each degree within a step of them, unpooled;
+# it correlates the rotations in chunks whose spectra take about _CHUNK_BYTES
+_COARSE_STEP_DEG, _POOL, _KEEP, _CHUNK_BYTES = 2, 2, 4, 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -177,29 +178,249 @@ def _rot90_map(m: OccupancyMap, quarter_turns: int) -> OccupancyMap:
     return out
 
 
-def _rotate_map(m: OccupancyMap, deg: float) -> OccupancyMap:
+def _quarter_turns(deg: float):
+    """How many quarter turns a rotation by ``deg`` is, or None if it is not one."""
     deg = deg % 360.0
     if abs(deg - round(deg)) < 1e-9 and round(deg) % 90 == 0:
-        return _rot90_map(m, int(round(deg)) // 90)
+        return int(round(deg)) // 90
+    return None
+
+
+def _turned(rotations, cx, cy):
+    """Points (cx, cy) rotated CCW by each angle in degrees, one row per angle.
+
+    Each angle's cosine and sine come from ``math``, and each coordinate is one
+    product pair and one sum, so every value is the one a single rotation of
+    the same points computes.
+    """
+    rad = [math.radians(r % 360.0) for r in rotations]
+    cos = np.array([math.cos(a) for a in rad])[:, None]
+    sin = np.array([math.sin(a) for a in rad])[:, None]
+    return cos * cx - sin * cy, sin * cx + cos * cy
+
+
+def _cell_centres(m: OccupancyMap, ii, jj):
+    return m.origin[0] + (jj + 0.5) * m.cell_cm, m.origin[1] + (ii + 0.5) * m.cell_cm
+
+
+def _frames(m: OccupancyMap, rotations) -> list:
+    """Each rotation's (origin, (height, width)) on the map frame's grid.
+
+    A quarter turn is the exact grid rotation ``_rot90_map``, which keeps
+    UNKNOWN margins. Any other rotation turns each known cell's centre and
+    bins the results on a grid whose corner sits half a cell below the
+    smallest. Rotation stays monotone along a grid row in floating point, so
+    the first and last known cell of each row hold every extreme rotated
+    coordinate, and only those cells are turned here.
+    """
+    known = m.grid != UNKNOWN
+    rows = np.flatnonzero(known.any(axis=1))
+    ends = known[rows]
+    cx, cy = _cell_centres(m, np.concatenate([rows, rows]),
+                           np.concatenate([ends.argmax(axis=1),
+                                           m.width - 1 - ends[:, ::-1].argmax(axis=1)]))
+    quarters = [_quarter_turns(rot) for rot in rotations]
+    rx, ry = _turned([rot for rot, q in zip(rotations, quarters) if q is None], cx, cy)
     c = m.cell_cm
-    ii, jj = np.nonzero(m.grid != UNKNOWN)
-    if len(ii) == 0:
-        return m.copy()
-    cx = m.origin[0] + (jj + 0.5) * c
-    cy = m.origin[1] + (ii + 0.5) * c
-    rad = math.radians(deg)
-    rx = math.cos(rad) * cx - math.sin(rad) * cy
-    ry = math.sin(rad) * cx + math.cos(rad) * cy
-    origin = (rx.min() - 0.5 * c, ry.min() - 0.5 * c)
-    col = np.floor((rx - origin[0]) / c).astype(np.int64)
-    row = np.floor((ry - origin[1]) / c).astype(np.int64)
-    grid = np.full((row.max() + 1, col.max() + 1), UNKNOWN, dtype=np.uint8)
-    states = m.grid[ii, jj]
-    free = states == FREE
-    grid[row[free], col[free]] = FREE
-    occ = states == OCCUPIED
-    grid[row[occ], col[occ]] = OCCUPIED  # occupied wins on collisions
-    return OccupancyMap(cell_cm=c, origin=origin, grid=grid)
+    ox, oy = rx.min(axis=1) - 0.5 * c, ry.min(axis=1) - 0.5 * c
+    w = ((rx.max(axis=1) - ox) / c).astype(np.intp) + 1
+    h = ((ry.max(axis=1) - oy) / c).astype(np.intp) + 1
+    turned = zip(zip(ox.tolist(), oy.tolist()), zip(h.tolist(), w.tolist()))
+    frames = []
+    for q in quarters:
+        if q is None:
+            frames.append(next(turned))
+        else:
+            r = _rot90_map(m, q)
+            frames.append((r.origin, r.grid.shape))
+    return frames
+
+
+def _states(grid: np.ndarray):
+    """Rows and columns of the grid's FREE cells, then of its OCCUPIED ones, and
+    how many are FREE."""
+    free, occupied = np.nonzero(grid == FREE), np.nonzero(grid == OCCUPIED)
+    rows, cols = (np.concatenate(pair) for pair in zip(free, occupied))
+    return rows, cols, len(free[0])
+
+
+def _known_cells(m: OccupancyMap):
+    """The centres (cx, cy) of the map's FREE cells, then of its OCCUPIED ones,
+    and how many are FREE."""
+    ii, jj, n_free = _states(m.grid)
+    return (*_cell_centres(m, ii, jj), n_free)
+
+
+def _canvases(m: OccupancyMap, cells, rotations, frames, pool: int, code) -> np.ndarray:
+    """The rotated partials of one chunk, as a stack of equal canvases.
+
+    Each rotation's grid, its states coded by ``code`` (UNKNOWN 0 < FREE <
+    OCCUPIED), is flipped on both axes and pooled ``pool`` x ``pool`` by a max,
+    its ragged edges padded UNKNOWN, into the top-left corner of a zero canvas.
+    Cells go straight to their pooled cells, FREE first and then OCCUPIED, so
+    OCCUPIED wins both where rotated cells collide and within a block.
+    ``cells`` holds the centres of ``m``'s known cells and how many are FREE,
+    from ``_known_cells``.
+    """
+    spans = -(-np.array([shape for _, shape in frames]) // pool)
+    depth, (height, width) = len(frames), spans.max(axis=0)
+    canvas = np.zeros((depth, height, width))
+    flat = canvas.reshape(-1)
+    # the flat index of each grid's cell (0, 0), flipped into its canvas' corner
+    last = (np.arange(depth) * height + spans[:, 0] - 1) * width + spans[:, 1] - 1
+
+    def scatter(k, rows, cols, n_free):
+        at = last[k] - rows // pool * width - cols // pool
+        flat[at[..., :n_free]] = code[FREE]
+        flat[at[..., n_free:]] = code[OCCUPIED]
+
+    quarters = [_quarter_turns(rot) for rot in rotations]
+    turned = [k for k, q in enumerate(quarters) if q is None]
+    if turned:
+        cx, cy, n_free = cells
+        rx, ry = _turned([rotations[k] for k in turned], cx, cy)
+        origins = np.array([frames[k][0] for k in turned])
+        # the offsets are at least half a cell, so truncation floors them
+        rx -= origins[:, :1]
+        rx /= m.cell_cm
+        ry -= origins[:, 1:]
+        ry /= m.cell_cm
+        scatter(np.array(turned)[:, None], ry.astype(np.intp), rx.astype(np.intp), n_free)
+    for k, q in enumerate(quarters):
+        if q is not None:
+            scatter(k, *_states(_rot90_map(m, q).grid))
+    return canvas
+
+
+class _Correlator:
+    """Exact overlap and match counts of partial grids against one global grid.
+
+    The grids are coded FREE -> 1, OCCUPIED -> B, where B is the smallest
+    power of two above ``n_known``, the number of known cells any partial
+    grid has. Correlating a partial q with the global g then gives, at each
+    placement, X = ff + B·(fo + of) + B²·oo, where ff counts the partial's
+    FREE cells on global FREE cells, fo and of the mixed pairs, and oo the
+    OCCUPIED cells on OCCUPIED ones. All of them together count at most
+    ``n_known`` cells, so each is one base-B digit of X, and match = ff + oo,
+    overlap = ff + fo + of + oo.
+
+    The digits are exact when X is rounded to the right integer. Percival
+    (2003) bounds the error of each output of an FFT correlation of L points
+    by about 13·u·log2(L)·‖g‖₂·‖q‖₂, with u the float64 unit round-off. So
+    one transform (the packed layout) is used when X < 2^53 and
+    u·log2(L)·‖g‖₂·‖q‖₂ ≤ 1/64, which keeps that bound under 1/4. Otherwise
+    (the split layout) the global KNOWN and OCCUPIED grids are correlated
+    with q apart: two inverse transforms, whose outputs hold two B-digits
+    each, (ff + of) + B·(fo + oo) and of + B·oo, under the same check with
+    their own norm and size. The norms are taken over ``n_free`` FREE and
+    ``n_occupied`` OCCUPIED cells, which bound those of every partial grid:
+    rotating and pooling a grid never adds cells of either state.
+    """
+
+    def __init__(self, global_grid: np.ndarray, n_free: int, n_occupied: int, shape):
+        n_known = n_free + n_occupied
+        big = 1 << n_known.bit_length()
+        self.base = float(big)
+        self.code = np.array([0.0, 1.0, self.base])
+        self.shape, self.global_shape = shape, global_grid.shape
+        g_free = int(np.count_nonzero(global_grid == FREE))
+        g_occupied = int(np.count_nonzero(global_grid == OCCUPIED))
+        q_norm = math.sqrt(n_free + big ** 2 * n_occupied)
+        depth = math.log2(shape[0] * shape[1])
+
+        def exact(x_max, g_norm):
+            return x_max < 2 ** 53 and 2.0 ** -53 * depth * g_norm * q_norm <= 1 / 64
+
+        self.packed = exact(n_known * big ** 2, math.sqrt(g_free + big ** 2 * g_occupied))
+        if self.packed:
+            self.spectra = [np.fft.rfft2(self.code[global_grid], shape)]
+        elif exact(n_known * big, math.sqrt(g_free + g_occupied)):
+            self.spectra = [np.fft.rfft2(global_grid != UNKNOWN, shape),
+                            np.fft.rfft2(global_grid == OCCUPIED, shape)]
+        else:
+            raise ValueError(f"maps too large to count placements exactly: {n_known} known "
+                             f"partial cells on {shape[0]}x{shape[1]} transforms")
+
+    def __call__(self, canvases: np.ndarray):
+        """(overlap, match) as integer-valued float arrays, for a stack of
+        canvases coded with ``self.code``, each holding a partial grid flipped
+        on both axes in its top-left corner. Entry [k, dy + h - 1, dx + w - 1]
+        counts the cells of canvas k's (h, w) grid that land on global cell
+        (i + dy, j + dx); every other entry, up to the global size plus the
+        canvas size less one, is 0.
+        """
+        _, h, w = canvases.shape
+        crop = (slice(None), slice(self.global_shape[0] + h - 1),
+                slice(self.global_shape[1] + w - 1))
+        spectrum = np.fft.rfft2(canvases, self.shape, axes=(1, 2))
+        digits = []
+        for g in self.spectra:
+            x = np.rint(np.fft.irfft2(spectrum * g, self.shape, axes=(1, 2))[crop])
+            digits += self._split(x)
+        if self.packed:
+            ff, rest = digits
+            mixed, oo = self._split(rest)
+            ff += oo
+            return ff + mixed, ff
+        known_free, known_occupied, occupied_free, occupied_occupied = digits
+        known_occupied += known_free
+        known_free -= occupied_free
+        known_free += occupied_occupied
+        return known_occupied, known_free
+
+    def _split(self, x):
+        """(x mod B, x // B), the first in place, for integer-valued x >= 0
+        below 2^53; every step is exact, as B is a power of two."""
+        high = np.floor(x * (1.0 / self.base))
+        x -= high * self.base
+        return [x, high]
+
+
+def _pool(grid: np.ndarray) -> np.ndarray:
+    """Pool _POOL x _POOL blocks (ragged edges padded UNKNOWN): OCCUPIED if any
+    cell is, else FREE if any is. UNKNOWN < FREE < OCCUPIED, so that is a max."""
+    g = np.pad(grid, ((0, -grid.shape[0] % _POOL), (0, -grid.shape[1] % _POOL)))
+    return g.reshape(g.shape[0] // _POOL, _POOL, -1, _POOL).max(axis=(1, 3))
+
+
+def _search(global_grid: np.ndarray, partial: OccupancyMap, rotations, pool: int,
+            min_overlap: int):
+    """Yield each rotation's ((origin, shape), score, (ay, ax)), in order.
+
+    The partial rotated by each angle, and the global grid, are pooled
+    ``pool`` x ``pool`` (1 leaves them as they are). The score is the best
+    match / overlap over placements with at least ``min_overlap`` overlapping
+    cells, -1.0 when there is none, and (ay, ax) is its first index, row-major,
+    into the rotation's (H + h - 1, W + w - 1) counts (``_Correlator``).
+    Rotations are batched in chunks of about _CHUNK_BYTES of spectra. A
+    chunk's counts extend past each grid's own, but only with placements that
+    overlap nothing: with ``min_overlap`` above 0 they are never valid, and
+    with 0 they score 0, where the first index, (0, 0), is the grid's own.
+    So neither the score nor its index depends on the chunk.
+    """
+    if not rotations or not partial.known_count():
+        return
+    frames = _frames(partial, rotations)
+    if pool > 1:
+        global_grid = _pool(global_grid)
+    gh, gw = global_grid.shape
+    h, w = (-(-np.array([shape for _, shape in frames]) // pool)).max(axis=0)
+    shape = (_smooth_size(gh + int(h) - 1), _smooth_size(gw + int(w) - 1))
+    cells = _known_cells(partial)
+    n_free = cells[2]
+    counts = _Correlator(global_grid, n_free, len(cells[0]) - n_free, shape)
+    chunk = max(1, _CHUNK_BYTES // (16 * shape[0] * (shape[1] // 2 + 1)))
+    for start in range(0, len(frames), chunk):
+        part = slice(start, start + chunk)
+        overlap, match = counts(_canvases(partial, cells, rotations[part], frames[part], pool,
+                                          counts.code))
+        invalid = overlap < min_overlap
+        scores = np.divide(match, np.maximum(overlap, 1, out=overlap), out=match)
+        scores[invalid] = -1.0
+        flat = scores.reshape(len(scores), -1)
+        best = flat.argmax(axis=1)
+        for frame, row, at in zip(frames[part], flat, best.tolist()):
+            yield frame, float(row[at]), divmod(at, scores.shape[2])
 
 
 @dataclass(frozen=True)
@@ -213,6 +434,9 @@ class LocalizeConfig:
     min_overlap_frac: float = 0.5
 
     def __post_init__(self):
+        if not isinstance(self.min_known, int) or isinstance(self.min_known, bool) \
+                or self.min_known < 0:
+            raise ValueError(f"min_known must be a non-negative integer, not {self.min_known!r}")
         # both are fractions of cells, so a value above 1 could never be met
         for name in ("min_score", "min_overlap_frac"):
             if not 0.0 <= getattr(self, name) <= 1.0:
@@ -223,6 +447,10 @@ class LocalizeConfig:
 class LocalizeResult:
     pose: Pose
     score: float
+
+
+class InsufficientContent(ValueError):
+    """The partial map has fewer known cells than ``LocalizeConfig.min_known``."""
 
 
 def _smooth_size(n: int) -> int:
@@ -237,79 +465,12 @@ def _smooth_size(n: int) -> int:
         n += 1
 
 
-def _placement_counts(global_grid: np.ndarray, partial_grids: list):
-    """Yield (overlap, match) for each partial grid, over every cell placement.
-
-    For a partial of shape (h, w), both arrays have the full-correlation shape
-    (H + h - 1, W + w - 1); entry [dy + h - 1, dx + w - 1] counts the partial's
-    cells (i, j) landing on global cell (i + dy, j + dx) that are known in both
-    grids (overlap) and that hold the same known state (match), as exact
-    integers held as floats. The global FREE and OCCUPIED grids are transformed
-    once, on one 2·3·5-smooth FFT shape covering the largest placement extent;
-    each partial then costs two forward and two inverse FFTs (``_counts``).
-    """
-    gh, gw = global_grid.shape
-    shape = (_smooth_size(gh + max(g.shape[0] for g in partial_grids) - 1),
-             _smooth_size(gw + max(g.shape[1] for g in partial_grids) - 1))
-    g_occ = np.fft.rfft2(global_grid == OCCUPIED, shape)
-    g_known = np.fft.rfft2(global_grid == FREE, shape)
-    g_known += g_occ
-    for grid in partial_grids:
-        yield _counts(g_known, g_occ, grid, shape, (gh + grid.shape[0] - 1,
-                                                    gw + grid.shape[1] - 1))
-
-
-def _counts(g_known, g_occ, grid, shape, full):
-    """One partial's (overlap, match) from the global KNOWN and OCCUPIED spectra.
-
-    overlap = KNOWN * (P_free + P_occ), and match = FREE * P_free + OCC * P_occ,
-    computed as KNOWN * P_free + OCC * (P_occ - P_free), in place where possible.
-    Both inverse transforms are cropped to the partial's own full shape.
-    """
-    flipped = grid[::-1, ::-1]
-    match = np.fft.rfft2(flipped == FREE, shape)
-    p_occ = np.fft.rfft2(flipped == OCCUPIED, shape)
-    overlap = match + p_occ
-    overlap *= g_known
-    p_occ -= match
-    p_occ *= g_occ
-    match *= g_known
-    match += p_occ
-    # from here each name is rebound from its spectrum to its counts, so that
-    # only two spectrum-sized arrays stay alive through the inverse transforms
-    del p_occ
-    overlap = np.fft.irfft2(overlap, shape)[:full[0], :full[1]]
-    match = np.fft.irfft2(match, shape)[:full[0], :full[1]]
-    return np.rint(overlap, out=overlap), np.rint(match, out=match)
-
-
-def _pool(grid: np.ndarray) -> np.ndarray:
-    """Pool _POOL x _POOL blocks (ragged edges padded UNKNOWN): OCCUPIED if any
-    cell is, else FREE if any is. UNKNOWN < FREE < OCCUPIED, so that is a max."""
-    g = np.pad(grid, ((0, -grid.shape[0] % _POOL), (0, -grid.shape[1] % _POOL)))
-    return g.reshape(g.shape[0] // _POOL, _POOL, -1, _POOL).max(axis=(1, 3))
-
-
-def _best_placements(global_grid: np.ndarray, partial_grids: list, min_overlap: int):
-    """Yield each partial grid's best score and its first (ay, ax) index into the
-    ``_placement_counts`` arrays, over placements overlapping at least
-    min_overlap cells; (-1.0, None) when there are none."""
-    for overlap, match in _placement_counts(global_grid, partial_grids) if partial_grids else ():
-        valid = overlap >= min_overlap
-        if not valid.any():
-            yield -1.0, None
-            continue
-        scores = np.where(valid, match / np.maximum(overlap, 1), -1.0)
-        idx = int(np.argmax(scores))
-        yield float(scores.flat[idx]), divmod(idx, scores.shape[1])
-
-
 def _required_overlap(global_map: OccupancyMap, partial: OccupancyMap,
                       cfg: LocalizeConfig) -> int:
     """Check that the maps can be matched; return the overlap a placement needs."""
     if partial.known_count() < cfg.min_known:
-        raise ValueError(f"insufficient map content: {partial.known_count()} known cells, "
-                         f"need {cfg.min_known}")
+        raise InsufficientContent(f"insufficient map content: {partial.known_count()} "
+                                  f"known cells, need {cfg.min_known}")
     if abs(global_map.cell_cm - partial.cell_cm) > 1e-9:
         raise ValueError("maps must share one cell size")
     return max(cfg.min_known, int(math.ceil(cfg.min_overlap_frac * partial.known_count())))
@@ -319,17 +480,13 @@ def _localize_at(global_map: OccupancyMap, partial: OccupancyMap, cfg: LocalizeC
                  rotations: list) -> LocalizeResult:
     """The best placement at full resolution over the rotations, in the given order."""
     min_overlap = _required_overlap(global_map, partial, cfg)
-    rotated = [(rot, _rotate_map(partial, rot)) for rot in rotations]
-    rotated = [(rot, r) for rot, r in rotated if (r.grid != UNKNOWN).any()]
     best_score, best = -1.0, None
-    placements = _best_placements(global_map.grid, [r.grid for _, r in rotated], min_overlap)
-    for (rot, r), (score, at) in zip(rotated, placements):
+    placements = _search(global_map.grid, partial, rotations, 1, min_overlap)
+    for rot, (((ox, oy), (h, w)), score, (ay, ax)) in zip(rotations, placements):
         if score > best_score:
-            dy = at[0] - (r.height - 1)
-            dx = at[1] - (r.width - 1)
             c = global_map.cell_cm
-            best = Pose(x=global_map.origin[0] + dx * c - r.origin[0],
-                        y=global_map.origin[1] + dy * c - r.origin[1],
+            best = Pose(x=global_map.origin[0] + (ax - (w - 1)) * c - ox,
+                        y=global_map.origin[1] + (ay - (h - 1)) * c - oy,
                         theta=float(rot))
             best_score = score
     if best is None or best_score < cfg.min_score:
@@ -348,13 +505,26 @@ def localize(global_map: OccupancyMap, partial: OccupancyMap,
     degree is scored on both grids pooled 2x2, with the overlap threshold in
     pooled cells, then the 4 best and each degree within 2 of them are
     re-scored at full resolution, where ties keep the smallest (rotation, dy, dx).
+
+    Each stage takes its rotations in chunks whose spectra fill about 256 KiB,
+    so its working set does not grow with their number. Per chunk, one
+    vectorized pass rotates the partial's known cells (with the products and
+    floors of rotating it alone) into pooled canvases; one forward and one
+    inverse FFT per rotation give the packed correlation X = ff + B·(fo + of)
+    + B²·oo of grids coded FREE = 1, OCCUPIED = B (``_Correlator``), whose
+    base-B digits hold every placement's match = ff + oo and overlap = ff +
+    fo + of + oo; and one batched pass scores them. The counts are exact,
+    so the pose does not depend on FFT rounding: the packed layout is used
+    while X < 2^53 and u·log2(L)·‖g‖₂·‖q‖₂ ≤ 1/64 (u the float64 unit
+    round-off, L the FFT points). Past that bound, as for a whole 300x300
+    map, the global KNOWN and OCCUPIED grids are correlated apart, with two
+    inverse FFTs per rotation.
     """
     min_overlap = _required_overlap(global_map, partial, cfg)
     coarse = range(0, 360, _COARSE_STEP_DEG)
-    pooled = [_pool(_rotate_map(partial, rot).grid) for rot in coarse]
-    scores = [score for score, _ in _best_placements(
-        _pool(global_map.grid), pooled, -(-min_overlap // _POOL ** 2))]
-    kept = sorted(range(len(coarse)), key=lambda k: (-scores[k], k))[:_KEEP]
+    scores = [score for _, score, _ in _search(global_map.grid, partial, coarse, _POOL,
+                                               -(-min_overlap // _POOL ** 2))]
+    kept = sorted(range(len(scores)), key=lambda k: (-scores[k], k))[:_KEEP]
     step = _COARSE_STEP_DEG
     fine = sorted({(coarse[k] + d) % 360 for k in kept for d in range(-step, step + 1)})
     return _localize_at(global_map, partial, cfg, fine)

@@ -3,11 +3,13 @@
 Everything here is written as plainly as possible (literal loops, direct
 formulas, dense solvers) and deliberately shares no code with the package
 beyond its result types. The exceptions check how shared work is split, not
-the shared step itself: ``per_rotation_localize`` reuses the map rotation the
-fast search also calls, ``per_window_features`` reuses the block grid, the
-HOG planes and the bilinear resample of a single patch,
-``full_search_best_rightward`` picks the lane line from a full-range
-``hough_lines``, and ``list_detect_sequence`` scores and fuses each frame
+the shared step itself: ``per_rotation_localize`` and ``pooled_coarse_localize``
+(the per-heading coarse-to-fine search that the batched ``localize`` replaced)
+rotate each heading alone with ``_rotate_map`` and reuse the package's
+quarter-turn rotation, pooling and overlap threshold; ``per_window_features``
+reuses the block grid, the HOG planes and the bilinear resample of a single
+patch; ``full_search_best_rightward`` picks the lane line from a full-range
+``hough_lines``; and ``list_detect_sequence`` scores and fuses each frame
 with the detector's own stages.
 """
 
@@ -25,9 +27,17 @@ from rovercv.mapping import (
     FREE,
     OCCUPIED,
     UNKNOWN,
+    _COARSE_STEP_DEG,
+    _KEEP,
+    _POOL,
+    LocalizeConfig,
     LocalizeResult,
+    OccupancyMap,
     Pose,
-    _rotate_map,
+    _pool,
+    _required_overlap,
+    _rot90_map,
+    _smooth_size,
 )
 from rovercv.raster import _resize_bilinear
 from rovercv.segmentation import LabelMask, WatershedResult
@@ -490,6 +500,138 @@ def per_rotation_localize(global_map, partial, cfg, rotations) -> LocalizeResult
         raise ValueError(f"ambiguous localization: best score {max(best_score, 0.0):.3f} "
                          f"below {cfg.min_score}")
     return LocalizeResult(pose=best, score=best_score)
+
+
+def _rotate_map(m: OccupancyMap, deg: float) -> OccupancyMap:
+    """The map rotated CCW by ``deg`` about its frame's origin, resampled on
+    whole cells; OCCUPIED wins where rotated cells collide."""
+    deg = deg % 360.0
+    if abs(deg - round(deg)) < 1e-9 and round(deg) % 90 == 0:
+        return _rot90_map(m, int(round(deg)) // 90)
+    c = m.cell_cm
+    ii, jj = np.nonzero(m.grid != UNKNOWN)
+    if len(ii) == 0:
+        return m.copy()
+    cx = m.origin[0] + (jj + 0.5) * c
+    cy = m.origin[1] + (ii + 0.5) * c
+    rad = math.radians(deg)
+    rx = math.cos(rad) * cx - math.sin(rad) * cy
+    ry = math.sin(rad) * cx + math.cos(rad) * cy
+    origin = (rx.min() - 0.5 * c, ry.min() - 0.5 * c)
+    col = np.floor((rx - origin[0]) / c).astype(np.int64)
+    row = np.floor((ry - origin[1]) / c).astype(np.int64)
+    grid = np.full((row.max() + 1, col.max() + 1), UNKNOWN, dtype=np.uint8)
+    states = m.grid[ii, jj]
+    free = states == FREE
+    grid[row[free], col[free]] = FREE
+    occ = states == OCCUPIED
+    grid[row[occ], col[occ]] = OCCUPIED  # occupied wins on collisions
+    return OccupancyMap(cell_cm=c, origin=origin, grid=grid)
+
+
+def _placement_counts(global_grid: np.ndarray, partial_grids: list):
+    """Yield (overlap, match) for each partial grid, over every cell placement.
+
+    For a partial of shape (h, w), both arrays have the full-correlation shape
+    (H + h - 1, W + w - 1); entry [dy + h - 1, dx + w - 1] counts the partial's
+    cells (i, j) landing on global cell (i + dy, j + dx) that are known in both
+    grids (overlap) and that hold the same known state (match), as exact
+    integers held as floats. The global FREE and OCCUPIED grids are transformed
+    once, on one 2·3·5-smooth FFT shape covering the largest placement extent;
+    each partial then costs two forward and two inverse FFTs (``_counts``).
+    """
+    gh, gw = global_grid.shape
+    shape = (_smooth_size(gh + max(g.shape[0] for g in partial_grids) - 1),
+             _smooth_size(gw + max(g.shape[1] for g in partial_grids) - 1))
+    g_occ = np.fft.rfft2(global_grid == OCCUPIED, shape)
+    g_known = np.fft.rfft2(global_grid == FREE, shape)
+    g_known += g_occ
+    for grid in partial_grids:
+        yield _counts(g_known, g_occ, grid, shape, (gh + grid.shape[0] - 1,
+                                                    gw + grid.shape[1] - 1))
+
+
+def _counts(g_known, g_occ, grid, shape, full):
+    """One partial's (overlap, match) from the global KNOWN and OCCUPIED spectra.
+
+    overlap = KNOWN * (P_free + P_occ), and match = FREE * P_free + OCC * P_occ,
+    computed as KNOWN * P_free + OCC * (P_occ - P_free), in place where possible.
+    Both inverse transforms are cropped to the partial's own full shape.
+    """
+    flipped = grid[::-1, ::-1]
+    match = np.fft.rfft2(flipped == FREE, shape)
+    p_occ = np.fft.rfft2(flipped == OCCUPIED, shape)
+    overlap = match + p_occ
+    overlap *= g_known
+    p_occ -= match
+    p_occ *= g_occ
+    match *= g_known
+    match += p_occ
+    # from here each name is rebound from its spectrum to its counts, so that
+    # only two spectrum-sized arrays stay alive through the inverse transforms
+    del p_occ
+    overlap = np.fft.irfft2(overlap, shape)[:full[0], :full[1]]
+    match = np.fft.irfft2(match, shape)[:full[0], :full[1]]
+    return np.rint(overlap, out=overlap), np.rint(match, out=match)
+
+
+def _best_placements(global_grid: np.ndarray, partial_grids: list, min_overlap: int):
+    """Yield each partial grid's best score and its first (ay, ax) index into the
+    ``_placement_counts`` arrays, over placements overlapping at least
+    min_overlap cells; (-1.0, None) when there are none."""
+    for overlap, match in _placement_counts(global_grid, partial_grids) if partial_grids else ():
+        valid = overlap >= min_overlap
+        if not valid.any():
+            yield -1.0, None
+            continue
+        scores = np.where(valid, match / np.maximum(overlap, 1), -1.0)
+        idx = int(np.argmax(scores))
+        yield float(scores.flat[idx]), divmod(idx, scores.shape[1])
+
+
+def _per_heading_localize_at(global_map: OccupancyMap, partial: OccupancyMap,
+                             cfg: LocalizeConfig, rotations: list) -> LocalizeResult:
+    """The best placement at full resolution over the rotations, in the given order."""
+    min_overlap = _required_overlap(global_map, partial, cfg)
+    rotated = [(rot, _rotate_map(partial, rot)) for rot in rotations]
+    rotated = [(rot, r) for rot, r in rotated if (r.grid != UNKNOWN).any()]
+    best_score, best = -1.0, None
+    placements = _best_placements(global_map.grid, [r.grid for _, r in rotated], min_overlap)
+    for (rot, r), (score, at) in zip(rotated, placements):
+        if score > best_score:
+            dy = at[0] - (r.height - 1)
+            dx = at[1] - (r.width - 1)
+            c = global_map.cell_cm
+            best = Pose(x=global_map.origin[0] + dx * c - r.origin[0],
+                        y=global_map.origin[1] + dy * c - r.origin[1],
+                        theta=float(rot))
+            best_score = score
+    if best is None or best_score < cfg.min_score:
+        raise ValueError(f"ambiguous localization: best score {max(best_score, 0.0):.3f} "
+                         f"below {cfg.min_score}")
+    return LocalizeResult(pose=best, score=best_score)
+
+
+def pooled_coarse_localize(global_map: OccupancyMap, partial: OccupancyMap,
+                           cfg: LocalizeConfig = LocalizeConfig()) -> LocalizeResult:
+    """Find the rigid transform placing the partial map onto the global map.
+
+    A placement is a whole-degree rotation of the partial plus a whole-cell
+    translation, scored as matching / overlapping known cells. The rotations
+    are searched coarse to fine (correlative scan matching): every second
+    degree is scored on both grids pooled 2x2, with the overlap threshold in
+    pooled cells, then the 4 best and each degree within 2 of them are
+    re-scored at full resolution, where ties keep the smallest (rotation, dy, dx).
+    """
+    min_overlap = _required_overlap(global_map, partial, cfg)
+    coarse = range(0, 360, _COARSE_STEP_DEG)
+    pooled = [_pool(_rotate_map(partial, rot).grid) for rot in coarse]
+    scores = [score for score, _ in _best_placements(
+        _pool(global_map.grid), pooled, -(-min_overlap // _POOL ** 2))]
+    kept = sorted(range(len(coarse)), key=lambda k: (-scores[k], k))[:_KEEP]
+    step = _COARSE_STEP_DEG
+    fine = sorted({(coarse[k] + d) % 360 for k in kept for d in range(-step, step + 1)})
+    return _per_heading_localize_at(global_map, partial, cfg, fine)
 
 
 def per_window_features(window, cfg):

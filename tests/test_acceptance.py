@@ -17,6 +17,7 @@ from oracles import (
     dense_smooth,
     line_residual,
     naive_hog,
+    pooled_coarse_localize,
     segment_line_params,
 )
 from scenes import (
@@ -300,6 +301,7 @@ def test_c08_mapping():
         if rot:
             part = _rot90_map(part, 3)
         res = localize(world, part)
+        assert res == pooled_coarse_localize(world, part), f"trial {trial}"
         assert res.score == 1.0, f"trial {trial}: score {res.score}"
         assert abs(res.pose.theta - rot) <= 1.0
         assert abs(res.pose.x - c0 * 2.0) <= 2.0, f"trial {trial}"
@@ -339,7 +341,9 @@ def test_c08_off_quarter_localization():
     for trial in range(12):
         part, r0, c0 = _room_cutout(rng, world)
         heading = 90 * int(rng.integers(4)) + int(rng.integers(1, 90))
-        res = localize(world, _turned_cutout(world, r0, c0, *part.grid.shape, heading))
+        turned = _turned_cutout(world, r0, c0, *part.grid.shape, heading)
+        res = localize(world, turned)
+        assert res == pooled_coarse_localize(world, turned), f"trial {trial}"
         worst_deg = max(worst_deg, abs((res.pose.theta - heading + 180.0) % 360.0 - 180.0))
         worst_cm = max(worst_cm, abs(res.pose.x - c0 * 2.0), abs(res.pose.y - r0 * 2.0))
         assert worst_deg <= 1.0 and worst_cm < 2.0, f"trial {trial}, heading {heading}: {res}"

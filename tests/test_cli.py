@@ -456,5 +456,17 @@ def test_localize_malformed_map_header_exits_one(tmp_path, capsys, header, messa
     bad.write_bytes(json.dumps(header).encode("ascii") + data[data.index(b"\n"):])
     out = tmp_path / "pose.json"
     assert run(["localize", str(good), str(bad), "--out", str(out)]) == 1
-    assert capsys.readouterr().err == f"error: malformed map header: {message}\n"
+    assert capsys.readouterr().err == f"error: {bad}: malformed map header: {message}\n"
+    assert not out.exists()
+
+
+def test_localize_insufficient_content_names_the_partial_map(tmp_path, capsys):
+    grid = np.full((4, 4), 1, dtype=np.uint8)
+    world, part = tmp_path / "world.rmap", tmp_path / "part.rmap"
+    for path in (world, part):
+        path.write_bytes(map_to_bytes(OccupancyMap(cell_cm=2.0, origin=(0.0, 0.0), grid=grid)))
+    out = tmp_path / "pose.json"
+    assert run(["localize", str(world), str(part), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: {part}: insufficient map content: "
+                                       "16 known cells, need 50\n")
     assert not out.exists()

@@ -1,13 +1,15 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import per_rotation_localize
+from oracles import _fft_xcorr, _rotate_map, per_rotation_localize, pooled_coarse_localize
 from scenes import corridor_frame
+from rovercv import mapping
 from rovercv.mapping import (
     FREE,
     OCCUPIED,
@@ -17,11 +19,13 @@ from rovercv.mapping import (
     LocalizeConfig,
     OccupancyMap,
     Pose,
+    _canvases,
+    _Correlator,
+    _frames,
+    _known_cells,
     _localize_at,
-    _placement_counts,
     _pool,
     _rot90_map,
-    _rotate_map,
     _smooth_size,
     advance_pose,
     explore_step,
@@ -229,11 +233,13 @@ def localize_cases(draw):
 
     The partial is a rotated cutout of the global map (any whole-degree
     rotation), an unrelated random map, a map without OCCUPIED or without FREE
-    cells, or all FREE over an all-FREE global map, where every placement ties.
+    cells, all FREE over an all-FREE global map, where every placement ties, or
+    a map with no known cell at all.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     gh, gw = draw(st.integers(1, 40)), draw(st.integers(1, 40))
-    kind = draw(st.sampled_from(("cutout", "random", "free_only", "occupied_only", "uniform")))
+    kind = draw(st.sampled_from(("cutout", "random", "free_only", "occupied_only", "uniform",
+                                 "empty")))
     if kind == "uniform":
         world = np.full((gh, gw), FREE, dtype=np.uint8)
     else:
@@ -256,6 +262,8 @@ def localize_cases(draw):
         grid = tri_state(rng, shape, draw(st.floats(0.2, 1.0)), p_occ)
         if kind == "uniform":
             grid[grid == OCCUPIED] = FREE
+        if kind == "empty":
+            grid[:] = UNKNOWN
         part = OccupancyMap(cell_cm=draw(st.sampled_from((cell,) * 5 + (3.0,))),
                             origin=(draw(st.floats(-20.0, 20.0)), 0.0), grid=grid)
 
@@ -282,6 +290,35 @@ def direct_counts(g, p):
             overlap[ay, ax] = both.sum()
             match[ay, ax] = (both & (pg == gg)).sum()
     return overlap, match
+
+
+def correlate(g, p):
+    """Whether ``_Correlator`` packs partial grid p's counts against g, and its
+    (overlap, match) of every placement."""
+    shape = (_smooth_size(g.shape[0] + p.shape[0] - 1), _smooth_size(g.shape[1] + p.shape[1] - 1))
+    counts = _Correlator(g, int((p == FREE).sum()), int((p == OCCUPIED).sum()), shape)
+    overlap, match = counts(counts.code[p[::-1, ::-1]][None])
+    return counts.packed, overlap[0], match[0]
+
+
+def xcorr_counts(g, p):
+    """(overlap, match) of every placement, from one small exact correlation
+    per pair of states."""
+    return (_fft_xcorr(g != UNKNOWN, p != UNKNOWN),
+            _fft_xcorr(g == FREE, p == FREE) + _fft_xcorr(g == OCCUPIED, p == OCCUPIED))
+
+
+def recorded_layouts(monkeypatch):
+    """A list that collects, in order, whether each search stage packed its counts."""
+    layouts = []
+
+    class Recording(_Correlator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            layouts.append(self.packed)
+
+    monkeypatch.setattr(mapping, "_Correlator", Recording)
+    return layouts
 
 
 class TestSharedSpectraSearch:
@@ -347,11 +384,109 @@ class TestSharedSpectraSearch:
     def test_counts_equal_direct_sums(self, global_shape, partial_shapes):
         rng = np.random.default_rng(sum(global_shape))
         g = tri_state(rng, global_shape, 0.7, 0.4)
-        parts = [tri_state(rng, shape, 0.8, 0.4) for shape in partial_shapes]
-        for p, (overlap, match) in zip(parts, _placement_counts(g, parts), strict=True):
+        for shape in partial_shapes:
+            p = tri_state(rng, shape, 0.8, 0.4)
+            _, overlap, match = correlate(g, p)
             want_overlap, want_match = direct_counts(g, p)
             assert np.array_equal(overlap, want_overlap)
             assert np.array_equal(match, want_match)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_counts_equal_fft_xcorr(self, seed):
+        rng = np.random.default_rng(seed)
+        g = tri_state(rng, tuple(rng.integers(1, 60, 2)), rng.uniform(0, 1), rng.uniform(0, 1))
+        p = tri_state(rng, tuple(rng.integers(1, 40, 2)), rng.uniform(0, 1), rng.uniform(0, 1))
+        packed, overlap, match = correlate(g, p)
+        want_overlap, want_match = xcorr_counts(g, p)
+        assert packed
+        assert np.array_equal(overlap, want_overlap)
+        assert np.array_equal(match, want_match)
+
+    @pytest.mark.parametrize("p_occ, packed", [(0.25, True), (0.35, False)])
+    def test_counts_equal_fft_xcorr_on_each_side_of_the_bound(self, p_occ, packed):
+        # both grids fully known, so B = 2^15 and L = 360^2: the packed check
+        # u·log2(L)·‖g‖₂·‖q‖₂ <= 1/64 holds up to about 30% OCCUPIED cells
+        rng = np.random.default_rng(31)
+        g = tri_state(rng, (200, 200), 1.0, p_occ)
+        p = tri_state(rng, (130, 130), 1.0, p_occ)
+        got_packed, overlap, match = correlate(g, p)
+        want_overlap, want_match = xcorr_counts(g, p)
+        assert got_packed == packed
+        assert np.array_equal(overlap, want_overlap)
+        assert np.array_equal(match, want_match)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from((1, 2)),
+           st.lists(st.integers(0, 359) | st.sampled_from((0, 90, 180, 270)),
+                    min_size=1, max_size=8))
+    def test_canvases_equal_each_rotation_alone(self, seed, pool, rotations):
+        rng = np.random.default_rng(seed)
+        grid = tri_state(rng, tuple(rng.integers(1, 25, 2)), rng.uniform(0.05, 1.0),
+                         rng.uniform(0.0, 0.6))
+        grid[rng.integers(grid.shape[0]), rng.integers(grid.shape[1])] = FREE
+        m = OccupancyMap(cell_cm=float(rng.choice([1.0, 2.0, 2.5])),
+                         origin=tuple(rng.uniform(-50.0, 50.0, 2)), grid=grid)
+        frames = _frames(m, rotations)
+        canvases = _canvases(m, _known_cells(m), rotations, frames, pool,
+                             np.array([0.0, 1.0, 2.0]))
+        for rot, frame, canvas in zip(rotations, frames, canvases, strict=True):
+            r = _rotate_map(m, rot)
+            assert frame == (r.origin, r.grid.shape)
+            want = (_pool(r.grid) if pool > 1 else r.grid)[::-1, ::-1]
+            h, w = want.shape
+            assert np.array_equal(canvas[:h, :w], want)
+            assert not canvas[h:].any() and not canvas[:, w:].any()
+
+    @settings(max_examples=100, deadline=None)
+    @given(localize_cases())
+    @example((make_global_map(size=20),
+              OccupancyMap(cell_cm=2.0, origin=(0.0, 0.0), grid=np.zeros((1, 1), np.uint8)),
+              LocalizeConfig(min_known=0, min_score=0.0, min_overlap_frac=0.0)))
+    def test_localize_equals_pooled_coarse_oracle(self, case):
+        global_map, part, cfg = case
+        try:
+            expected = pooled_coarse_localize(global_map, part, cfg)
+        except ValueError as exc:
+            event(str(exc).split(":")[0])
+            with pytest.raises(ValueError) as got:
+                localize(global_map, part, cfg)
+            assert str(got.value) == str(exc)
+        else:
+            event("localized")
+            assert localize(global_map, part, cfg) == expected
+
+    @pytest.mark.parametrize("size, cut, packed", [(140, (40, 50, 45, 53), True),
+                                                   (300, (0, 0, 300, 300), False)])
+    def test_equals_oracle_within_its_working_set(self, monkeypatch, size, cut, packed):
+        # a room of the benchmark's size with a partial about as large as its
+        # episodes build, and the README's 300x300 map localizing all of
+        # itself, where the counts outgrow the packed layout. The oracle is
+        # the per-heading search; its traced peaks were 3.09 and 36.5 MB, this
+        # search's 2.56 and 33.3 MB (numpy 2.4)
+        world = make_global_map(seed=7, size=size)
+        part = _rotate_map(cutout(world, *cut), 323)
+        layouts = recorded_layouts(monkeypatch)
+        peaks = []
+        for search in (pooled_coarse_localize, localize):
+            tracemalloc.start()
+            try:
+                result = search(world, part)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            if search is pooled_coarse_localize:
+                expected = result
+        assert result == expected
+        assert layouts == [packed, packed]
+        # at most 10% above the per-heading search's peak
+        assert peaks[1] <= 1.1 * peaks[0], [f"{p / 1e6:.2f} MB" for p in peaks]
+
+    def test_counts_too_large_to_be_exact_rejected(self):
+        # 2^26 OCCUPIED partial cells make B = 2^27, so even the split
+        # layout's outputs could reach 2^53
+        with pytest.raises(ValueError, match="maps too large to count placements exactly"):
+            _Correlator(np.full((4, 4), OCCUPIED, np.uint8), 0, 2 ** 26, (8, 8))
 
     def test_smooth_size(self):
         smooth = [2**a * 3**b * 5**c for a in range(9) for b in range(6) for c in range(4)]
@@ -363,6 +498,11 @@ class TestSharedSpectraSearch:
     def test_fractions_outside_unit_interval_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must lie in \\[0, 1\\]"):
             LocalizeConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [-3, 2.5, 50.0, True, "50", None])
+    def test_min_known_must_be_a_non_negative_int(self, value):
+        with pytest.raises(ValueError, match="min_known must be a non-negative integer"):
+            LocalizeConfig(min_known=value)
 
 
 class TestExplore:
