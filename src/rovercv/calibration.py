@@ -5,6 +5,7 @@ distance, fixes the perceived focal length; after that, the distance to any
 object of known width follows from its apparent width in pixels.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,10 +36,16 @@ class CameraModel:
                    ref_distance_cm=float(d["ref_distance_cm"]), ref_pixels=float(d["ref_pixels"]))
 
 
+def _require_positive(**values):
+    """Raise ValueError naming the first value that is not finite and positive."""
+    for name, v in values.items():
+        if not 0 < v < math.inf:
+            raise ValueError(f"{name} must be a finite positive number, got {v!r}")
+
+
 def estimate_focal(n_pixels: float, distance_cm: float, length_cm: float) -> CameraModel:
     """Perceived focal length from a reference object: pixels * distance / length."""
-    if n_pixels <= 0 or distance_cm <= 0 or length_cm <= 0:
-        raise ValueError("reference pixel count, distance, and length must all be positive")
+    _require_positive(n_pixels=n_pixels, distance_cm=distance_cm, length_cm=length_cm)
     return CameraModel(focal_px=n_pixels * distance_cm / length_cm,
                        ref_length_cm=float(length_cm),
                        ref_distance_cm=float(distance_cm),
@@ -52,10 +59,7 @@ def estimate_distance(model: CameraModel, known_width_cm: float, observed_pixels
     stored reference triple, so measuring the reference object itself returns
     the reference distance bit-exactly.
     """
-    if known_width_cm <= 0:
-        raise ValueError("object width must be positive")
-    if observed_pixels <= 0:
-        raise ValueError("observed pixel count must be positive")
+    _require_positive(known_width_cm=known_width_cm, observed_pixels=observed_pixels)
     focal = (Fraction(model.ref_pixels) * Fraction(model.ref_distance_cm)
              / Fraction(model.ref_length_cm))
     return float(Fraction(known_width_cm) * focal / Fraction(observed_pixels))
@@ -68,8 +72,7 @@ def calibrate_from_image(img: Raster, distance_cm: float, length_cm: float,
     The pixel count is the bbox width (horizontal extent) of the detected
     rectangle.
     """
-    if distance_cm <= 0 or length_cm <= 0:
-        raise ValueError("reference distance and length must be positive")
+    _require_positive(distance_cm=distance_cm, length_cm=length_cm)
     rect = largest_rectangle(img, edge_threshold=edge_threshold)
     n_pixels = rect.bbox[2]
     return estimate_focal(n_pixels, distance_cm, length_cm)

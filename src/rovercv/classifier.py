@@ -52,8 +52,8 @@ def svm_train(X, y, lambda_: float = 1e-4, epochs: int = 30, seed: int = 42,
         raise ValueError("row/label count mismatch")
     if len(set(np.unique(y).tolist())) < 2:
         raise ValueError("single-class training set")
-    if lambda_ <= 0:
-        raise ValueError("lambda must be positive")
+    if not 0 < lambda_ < np.inf:
+        raise ValueError(f"lambda_ must be a finite positive number, got {lambda_!r}")
 
     mean = X.mean(axis=0)
     std = X.std(axis=0)

@@ -172,7 +172,7 @@ def _build_parser(defaults: dict) -> argparse.ArgumentParser:
     p = sub.add_parser("localize", help="match a partial map onto a complete map")
     p.add_argument("global_map")
     p.add_argument("partial_map")
-    p.add_argument("--min-known", type=_positive_int, default=d("min_known", 50))
+    p.add_argument("--min-known", type=_nonneg_int, default=d("min_known", 50))
     p.add_argument("--min-score", dest="localize_min_score", type=_unit_float,
                    default=d("localize_min_score", 0.6))
     p.add_argument("--min-overlap-frac", type=_unit_float,

@@ -67,6 +67,8 @@ class DetectorConfig:
     frame_memory: int = 1
 
     def __post_init__(self):
+        if not self.min_score < math.inf:  # nan or inf would keep no window
+            raise ValueError(f"min_score must be finite or -inf, got {self.min_score!r}")
         if self.frame_memory < 1:
             raise ValueError("frame_memory must be at least 1")
 
@@ -144,13 +146,16 @@ def _band_features(frame: Raster, plan: WindowPlan):
 
 def detect_cars(frame: Raster, model: LinearModel, plan: WindowPlan,
                 cfg: DetectorConfig = DetectorConfig()) -> list:
-    """Score every planned window; keep those above cfg.min_score, in plan order."""
-    scores = svm_score_many(model, np.vstack(list(_band_features(frame, plan))))
+    """Score every planned window, one band's descriptor matrix at a time; keep
+    those above cfg.min_score, in plan order."""
+    windows = iter_windows(plan)
     dets = []
-    for (b, y, x), score in zip(iter_windows(plan), scores):
-        if score > cfg.min_score:
-            side = plan.bands[b].window_px
-            dets.append(Detection(x=x, y=y, w=side, h=side, score=float(score)))
+    for rows in _band_features(frame, plan):
+        # scores first: zip stops at the band's last score without taking a window
+        for score, (b, y, x) in zip(svm_score_many(model, rows), windows):
+            if score > cfg.min_score:
+                side = plan.bands[b].window_px
+                dets.append(Detection(x=x, y=y, w=side, h=side, score=float(score)))
     return dets
 
 

@@ -99,16 +99,19 @@ def _peaks(acc: np.ndarray, min_votes: int, cols: np.ndarray, seeds: np.ndarray)
 
 @dataclass(frozen=True)
 class _Votes:
-    """The on-pixels (``xy``: float rows x, y; ``terms``: int64 rows x, y, x^2,
-    y^2, xy) and, per voted theta column ``cols`` (ascending, out of
-    ``n_theta``), how many of them vote in each rho bin or below (``ends``: the
-    accumulator summed down its rows). ``diag`` bounds every pixel's distance
-    from the origin, ``c_max`` every coordinate."""
+    """One block's votes: the on-pixels (``xy``: float rows x, y; ``terms``:
+    int64 rows x, y, x^2, y^2, xy) and, per theta column ``cols`` of the block
+    (ascending, out of ``n_theta``), how many of them vote in each rho bin or
+    below (``ends``: the accumulator summed down its rows) and their ids sorted
+    stably by rho bin, so row-major within a bin (``order``: one run of N ids
+    per column, concatenated). ``diag`` bounds every pixel's distance from the
+    origin, ``c_max`` every coordinate."""
 
     xy: np.ndarray
     terms: np.ndarray
     cols: np.ndarray
     ends: np.ndarray
+    order: np.ndarray
     n_theta: int
     theta_res: float
     rho_res: float
@@ -116,27 +119,17 @@ class _Votes:
     diag: float
     c_max: int
 
-    def order(self, cols, dtype) -> np.ndarray:
-        """Pixel ids of each listed column sorted stably by rho bin, so row-major
-        within a bin: one run of N ids per column, concatenated."""
-        order = np.empty((len(cols), self.xy.shape[1]), dtype=dtype)
-        bin_dtype = np.uint16 if len(self.ends) <= 1 << 16 else np.int64  # uint16 sorts by radix
-        for j, t in enumerate(cols):
-            bins = _rho_bins(*self.xy, t * self.theta_res, self.rho_res, self.offs)
-            order[j] = np.argsort(bins.astype(bin_dtype), kind="stable")
-        return order.ravel()
-
-    def span(self, slot, col, lo, hi):
-        """Positions [begin, end) of the pixels of rho bins lo..hi of theta
-        column ``col`` in an ``order`` whose run ``slot`` is that column."""
-        base = slot * self.xy.shape[1]
+    def span(self, col, lo, hi):
+        """Positions [begin, end) in ``order`` of the pixels of rho bins lo..hi of
+        theta column ``col``."""
         c = np.searchsorted(self.cols, col)
+        base = c * self.xy.shape[1]
         return base + np.where(lo > 0, self.ends[lo - 1, c], 0), base + self.ends[hi, c]
 
 
-def _band_spans(votes: _Votes, indexed, seed_col, rho, theta_deg):
-    """Spans of an ``order`` of the ``indexed`` columns holding every pixel within
-    half a pixel of each line.
+def _band_spans(votes: _Votes, seed_col, rho, theta_deg):
+    """Spans of ``votes.order`` holding every pixel within half a pixel of each
+    line.
 
     Each line is looked up in whichever of its seed column and the two next to
     it is nearest modulo 180 degrees; across the wrap the column's rho is
@@ -157,8 +150,7 @@ def _band_spans(votes: _Votes, indexed, seed_col, rho, theta_deg):
     top = len(votes.ends) - 1
     lo = np.clip(np.ceil((center - slack) / votes.rho_res - 0.5) + votes.offs, 0, top)
     hi = np.clip(np.floor((center + slack) / votes.rho_res + 0.5) + votes.offs, 0, top)
-    return votes.span(np.searchsorted(indexed, col), col, lo.astype(np.int64),
-                      hi.astype(np.int64))
+    return votes.span(col, lo.astype(np.int64), hi.astype(np.int64))
 
 
 def _runs(begin, end):
@@ -212,9 +204,9 @@ def _tls_fit(moments):
     return rho, theta_deg
 
 
-def _refine(votes: _Votes, order, indexed, cols, rows, part_px: int):
-    """(rho, theta_deg, votes) of the peaks at accumulator cells (rows, cols),
-    whose columns and their neighbors are the ``indexed`` runs of ``order``.
+def _refine(votes: _Votes, cols, rows, part_px: int):
+    """(rho, theta_deg, votes) of the peaks at accumulator cells (rows, cols) of
+    the block ``votes``, which holds their columns and the neighbors of them.
 
     Every peak goes through up to five rounds: a fit to the voters of its cell,
     three refits to the pixels within half a pixel of the current line, and a
@@ -236,9 +228,9 @@ def _refine(votes: _Votes, order, indexed, cols, rows, part_px: int):
         if len(ids) == 0:
             break
         if rnd == 0:
-            begin, end = votes.span(np.searchsorted(indexed, cols), cols, rows, rows)
+            begin, end = votes.span(cols, rows, rows)
         else:
-            begin, end = _band_spans(votes, indexed, cols[ids], rho[ids], theta_deg[ids])
+            begin, end = _band_spans(votes, cols[ids], rho[ids], theta_deg[ids])
             rad = np.deg2rad(theta_deg[ids])
             cos_t, sin_t, rho_t = np.cos(rad), np.sin(rad), rho[ids]
         length = end - begin
@@ -247,7 +239,7 @@ def _refine(votes: _Votes, order, indexed, cols, rows, part_px: int):
         for part in np.split(np.arange(len(ids)), np.flatnonzero(np.diff(part_of)) + 1):
             run, pos = _runs(begin[part], end[part])
             # np.take, np.repeat and np.compress beat fancy and mask indexing
-            pix = np.take(order, pos)
+            pix = np.take(votes.order, pos)
             del pos
             if rnd:
                 per = length[part]
@@ -314,11 +306,14 @@ def hough_lines(edges: Raster, rho_res: float = 1.0, theta_res: float = 1.0,
     could overflow (a run of n pixels at coordinates up to c, n * c >= 2^31)
     are summed as Python ints.
 
-    Voting costs O(N) per voted column for N on-pixels. Refinement looks each
-    line's pixels up in the theta columns' pixels sorted by rho bin, so it
-    costs O(support) per peak, and all peaks of a block of seed columns are
-    refined together. The accumulator, a block's index and its candidate
-    buffers take memory about twice a whole-range accumulator plus O(N).
+    The seed columns go in blocks, each voted, indexed and refined in one
+    pass. A block's columns are its seed columns and one neighbor on each
+    side, all that its peak test and band lookups read. Each column's rho bins
+    are computed once, for its accumulator counts and for its pixels sorted by
+    rho bin: O(N) for N on-pixels. Refinement looks each line's pixels up in
+    those sorted runs, so it costs O(support) per peak, and all peaks of a
+    block are refined together. A block's accumulator and index take memory
+    about twice a whole-range accumulator, plus O(N) candidate buffers.
     """
     if edges.channels != 1:
         raise ValueError("expected a grayscale raster")
@@ -341,38 +336,34 @@ def hough_lines(edges: Raster, rho_res: float = 1.0, theta_res: float = 1.0,
     terms = np.stack((xs, ys, xs * xs, ys * ys, xs * ys))
     xy = terms[:2].astype(np.float64)
     del xs, ys
-    # the peak test and the band lookups read one column on each side of a seed
-    voted = np.flatnonzero(seeds | np.roll(seeds, 1) | np.roll(seeds, -1))
-    acc = np.empty((2 * offs + 1, len(voted)), dtype=np.int32)
-    for j, ti in enumerate(voted):
-        acc[:, j] = np.bincount(_rho_bins(*xy, ti * theta_res, rho_res, offs),
-                                minlength=2 * offs + 1)
-    rows, cols = _peaks(acc, min_votes, voted, seeds[voted])
-    votes = _Votes(xy, terms, voted, np.cumsum(acc, axis=0, out=acc), n_theta, theta_res,
-                   rho_res, offs, diag, max(edges.width, edges.height) - 1)
-
+    n_rows = 2 * offs + 1
     order_dtype = np.uint16 if n <= 1 << 16 else np.int32
-    # The accumulator and a block's index take about two accumulators of the
-    # whole half turn, one each at the default range: a narrower range spends
-    # the voting memory it saves on wider blocks (on lane frames one block,
-    # where an index of one narrow accumulator made three). Parts of N
-    # candidates keep refinement's buffers O(N); on lane frames, parts of 2N
-    # left the heap larger, and parts of N/2 cost more calls than they saved.
-    budget = 2 * acc.shape[0] * n_theta * acc.itemsize - acc.nbytes
-    block = max(1, budget // (n * np.dtype(order_dtype).itemsize))
+    bin_dtype = np.uint16 if n_rows <= 1 << 16 else np.int64  # uint16 sorts by radix
+    # A block's columns, its seeds and a neighbor on each side, take about two
+    # accumulators of the whole half turn in counts and index: on lane frames
+    # one block. Parts of N candidates keep refinement's buffers O(N); on lane
+    # frames, parts of 2N left the heap larger, and parts of N/2 cost more
+    # calls than they saved.
+    per_col = n * np.dtype(order_dtype).itemsize + n_rows * 4
+    block = max(1, 2 * n_rows * n_theta * 4 // per_col - 2)
     seed_cols = np.flatnonzero(seeds)
     lines = []
     for a in range(0, len(seed_cols), block):
         in_block = seed_cols[a:a + block]
-        lo, hi = np.searchsorted(cols, (in_block[0], in_block[-1] + 1))
-        if lo == hi:
-            continue
-        # a refined line is looked up in its seed column or a neighbor of it
-        indexed = np.unique((in_block[:, None] + np.array([-1, 0, 1])) % n_theta)
-        order = votes.order(indexed, order_dtype)
-        rho, theta_deg, count = _refine(votes, order, indexed, cols[lo:hi], rows[lo:hi],
-                                        part_px=n)
-        del order
+        cols = np.unique((in_block[:, None] + np.array([-1, 0, 1])) % n_theta)
+        acc = np.empty((n_rows, len(cols)), dtype=np.int32)
+        order = np.empty((len(cols), n), dtype=order_dtype)
+        for j, ti in enumerate(cols):
+            bins = _rho_bins(*xy, ti * theta_res, rho_res, offs)
+            acc[:, j] = np.bincount(bins, minlength=n_rows)
+            order[j] = np.argsort(bins.astype(bin_dtype), kind="stable")
+        del bins
+        rows, peak_cols = _peaks(acc, min_votes, cols, np.isin(cols, in_block))
+        votes = _Votes(xy, terms, cols, np.cumsum(acc, axis=0, out=acc), order.ravel(),
+                       n_theta, theta_res, rho_res, offs, diag,
+                       max(edges.width, edges.height) - 1)
+        rho, theta_deg, count = _refine(votes, peak_cols, rows, part_px=n)
+        del acc, order, votes
         lines += [HoughLine(rho=float(r), theta_deg=float(t), votes=int(v))
                   for r, t, v in zip(rho, theta_deg, count) if v >= min_votes]
     lines.sort(key=lambda ln: (-ln.votes, ln.theta_deg, ln.rho))

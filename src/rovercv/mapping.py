@@ -100,10 +100,10 @@ class GroundPatch:
     offset_cm: float
 
     def __post_init__(self):
-        if self.width_cm <= 0 or self.depth_cm <= 0:
-            raise ValueError("patch extent must be positive")
-        if self.offset_cm <= 0:
-            raise ValueError("patch offset must be positive")
+        for name in ("width_cm", "depth_cm", "offset_cm"):
+            v = getattr(self, name)
+            if not 0 < v < math.inf:
+                raise ValueError(f"patch {name} must be a finite positive number, got {v!r}")
 
 
 def advance_pose(p: Pose, forward_cm: float, rotate_deg: float) -> Pose:

@@ -23,7 +23,7 @@ class AngleSeries:
             raise ValueError("angle series must be a non-empty 1-D sequence")
         if len(a) != len(self.frame_ids):
             raise ValueError("angles and frame_ids must have equal length")
-        if np.abs(a).max() > ANGLE_LIMIT:
+        if not (np.abs(a) <= ANGLE_LIMIT).all():  # nan compares false
             raise ValueError(f"angles must lie within [-{ANGLE_LIMIT}, {ANGLE_LIMIT}]")
         object.__setattr__(self, "angles", a)
         object.__setattr__(self, "frame_ids", tuple(self.frame_ids))
@@ -66,8 +66,8 @@ def smooth_series(series: AngleSeries, lam: float) -> AngleSeries:
     input exactly, lam -> infinity flattens the series toward its mean. The
     result is clamped to [-90, 90].
     """
-    if lam < 0:
-        raise ValueError("smoothing weight must be non-negative")
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"lam must be a finite non-negative number, got {lam!r}")
     angles = series.angles
     n = len(angles)
     if lam == 0 or n == 1:

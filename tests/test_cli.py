@@ -256,9 +256,11 @@ def test_train_single_class_exits_one(tmp_path, capsys):
     assert "single-class" in capsys.readouterr().err
     assert not out.exists()
 
-def test_map_build_and_localize(tmp_path):
-    # L-shaped corridor: the bend breaks the translation symmetry a straight
-    # corridor would have, so the cutout below localizes uniquely
+def bend_maps(tmp_path):
+    """An L-shaped corridor's map and a 40x40 cutout of it around the bend, as
+    (map path, cutout path, map, cutout row, cutout column)."""
+    # the bend breaks the translation symmetry a straight corridor would
+    # have, so the cutout localizes uniquely
     frames = [corridor_frame() for _ in range(10)]
     motions = [(20.0, 0.0)] * 5 + [(20.0, 90.0)] + [(20.0, 0.0)] * 4
     script = write_replay(tmp_path, frames, motions)
@@ -277,7 +279,11 @@ def test_map_build_and_localize(tmp_path):
                            grid=world.grid[r0:r0 + 40, c0:c0 + 40].copy())
     partial_path = tmp_path / "partial.rmap"
     partial_path.write_bytes(map_to_bytes(partial))
+    return map_path, partial_path, world, r0, c0
 
+
+def test_map_build_and_localize(tmp_path):
+    map_path, partial_path, world, r0, c0 = bend_maps(tmp_path)
     pose_path = tmp_path / "pose.json"
     code = run(["localize", str(map_path), str(partial_path), "--min-known", "50",
                 "--min-overlap-frac", "0.9", "--out", str(pose_path)])
@@ -287,6 +293,15 @@ def test_map_build_and_localize(tmp_path):
     assert pose["theta"] == 0.0
     assert pose["x"] == pytest.approx(world.origin[0] + c0 * world.cell_cm, abs=world.cell_cm)
     assert pose["y"] == pytest.approx(world.origin[1] + r0 * world.cell_cm, abs=world.cell_cm)
+
+
+def test_localize_min_known_zero_runs(tmp_path):
+    # LocalizeConfig(min_known=0) is valid, so the CLI accepts it too
+    map_path, partial_path, _, _, _ = bend_maps(tmp_path)
+    pose_path = tmp_path / "pose.json"
+    assert run(["localize", str(map_path), str(partial_path), "--min-known", "0",
+                "--out", str(pose_path)]) == 0
+    assert json.loads(pose_path.read_text())["score"] == 1.0
 
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_map_build_non_finite_cell_size_exits_two(tmp_path, capsys, value):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from oracles import list_detect_sequence, per_component_boxes, per_window_features
 from scenes import frame_with_cars, noise_frame, training_set
-from rovercv.classifier import LinearModel, svm_train
+from rovercv.classifier import LinearModel, svm_score_many, svm_train
 from rovercv.detector import (
     DEFAULT_BANDS,
     BandConfig,
@@ -340,6 +341,33 @@ class TestDetection:
         frame = noise_frame(rng, w=1280, h=720)
         dets = detect_cars(frame, car_model, plan, DetectorConfig(min_score=-np.inf))
         assert len(dets) == plan.total_windows == 697
+
+    def test_band_scores_match_one_stacked_matrix(self, car_model):
+        # scoring band by band may round a score differently, as BLAS blocks
+        # rows differently, but only in the last bits
+        rng = np.random.default_rng(38)
+        plan = plan_windows(1280, 720, DEFAULT_BANDS)
+        frame = noise_frame(rng, w=1280, h=720)
+        dets = detect_cars(frame, car_model, plan, DetectorConfig(min_score=-np.inf))
+        assert [(d.x, d.y, d.w) for d in dets] == [(x, y, plan.bands[b].window_px)
+                                                   for b, y, x in iter_windows(plan)]
+        stacked = svm_score_many(car_model, np.vstack(list(_band_features(frame, plan))))
+        np.testing.assert_allclose([d.score for d in dets], stacked, rtol=1e-12, atol=0)
+
+    def test_one_band_of_rows_at_a_time(self, car_model):
+        # the descriptor rows of all 697 windows take 27.5 MB; stacking them
+        # holds them twice, scoring band by band never holds them all
+        rng = np.random.default_rng(39)
+        plan = plan_windows(1280, 720, DEFAULT_BANDS)
+        frame = noise_frame(rng, w=1280, h=720)
+        all_rows = plan.total_windows * feature_length(plan.features) * 8
+        tracemalloc.start()
+        try:
+            detect_cars(frame, car_model, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * all_rows
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.tuples(st.integers(32, 160), st.integers(1, 3), st.integers(0, 48),

@@ -255,9 +255,9 @@ class TestHoughMatchesPerPeakOracle:
         peaks_per_round = []
         band_spans = geometry._band_spans
 
-        def counting(votes, indexed, seed_col, rho, theta_deg):
+        def counting(votes, seed_col, rho, theta_deg):
             peaks_per_round.append(len(rho))
-            return band_spans(votes, indexed, seed_col, rho, theta_deg)
+            return band_spans(votes, seed_col, rho, theta_deg)
 
         monkeypatch.setattr(geometry, "_band_spans", counting)
         frame, _ = road_frame()
@@ -266,6 +266,22 @@ class TestHoughMatchesPerPeakOracle:
         assert len(peaks_per_round) == 4  # one block of columns, four band rounds
         assert peaks_per_round == sorted(peaks_per_round, reverse=True)
         assert peaks_per_round[-1] < peaks_per_round[0] / 2
+
+    def test_rho_bins_once_per_column_of_a_block(self, monkeypatch):
+        # the lane range's 84 seed columns and their two outer neighbors make
+        # one block of 86 columns, each binned once for its votes and its index
+        columns = []
+        rho_bins = geometry._rho_bins
+
+        def counting(xs, ys, theta_deg, rho_res, offs):
+            columns.append(theta_deg)
+            return rho_bins(xs, ys, theta_deg, rho_res, offs)
+
+        monkeypatch.setattr(geometry, "_rho_bins", counting)
+        edges, _ = _lane_edges(road_frame()[0], LaneConfig())
+        lines = hough_lines(edges, theta_range_deg=(98, 182))
+        assert lines == per_peak_hough_lines(edges, theta_range_deg=(98, 182))
+        assert sorted(columns) == [*range(3), *range(97, 180)]
 
 
 def noise_edges():
