@@ -47,6 +47,11 @@ def svm_train(X, y, lambda_: float = 1e-4, epochs: int = 30, seed: int = 42,
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("training rows must form a 2-D array")
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1)).tolist()
+    if bad:
+        more = f" and {len(bad) - 10} more" if len(bad) > 10 else ""
+        raise ValueError(f"non-finite feature values in training rows {bad[:10]}{more} "
+                         "(counted from 0)")
     y = _as_signs(y)
     if len(y) != len(X):
         raise ValueError("row/label count mismatch")

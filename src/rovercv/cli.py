@@ -207,6 +207,9 @@ def _parse_args(argv, defaults: dict):
         if key not in defaults or getattr(args, key, None) is not defaults[key]:
             continue
         value = defaults[key]
+        # a flag's config value is a JSON boolean, which no type check sees
+        if isinstance(action.const, bool) and not isinstance(value, bool):
+            raise UsageError(f"{key}: expected true or false, not {value!r}")
         try:
             if action.type is not None:
                 action.type(str(value))
@@ -220,7 +223,7 @@ def _parse_args(argv, defaults: dict):
 
 
 def _json_bytes(obj) -> bytes:
-    return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("ascii")
+    return (json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n").encode("ascii")
 
 
 def _cmd_calibrate(args):

@@ -9,15 +9,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .raster import Raster, read_pnm, write_pnm
+from .raster import Raster, _whole_in_range, read_pnm, write_pnm
 from .segmentation import LabelMask, SegmentConfig, segment_floor
 
 UNKNOWN, FREE, OCCUPIED = 0, 1, 2
 _STATE_TO_PNM = np.array([128, 255, 0], dtype=np.uint8)
 # localize scores every _COARSE_STEP_DEG-th degree on grids pooled _POOL x _POOL,
-# then re-scores the _KEEP best, and each degree within a step of them, unpooled;
-# it correlates the rotations in chunks whose spectra take about _CHUNK_BYTES
-_COARSE_STEP_DEG, _POOL, _KEEP, _CHUNK_BYTES = 2, 2, 4, 256 * 1024
+# then re-scores the _KEEP best, and each degree within a step of them, unpooled
+_COARSE_STEP_DEG, _POOL, _KEEP = 2, 2, 4
 
 
 @dataclass(frozen=True)
@@ -44,12 +43,16 @@ class OccupancyMap:
     def __post_init__(self):
         if not 0 < self.cell_cm < math.inf:
             raise ValueError("cell size must be positive and finite")
-        g = np.asarray(self.grid, dtype=np.uint8)
+        g = np.asarray(self.grid)
         if g.ndim != 2:
             raise ValueError("grid must be 2-D")
-        if g.size and g.max() > OCCUPIED:
+        # a uint8 grid, as stitch_patch copies on every step, cannot wrap in
+        # the cast, so only its upper bound is scanned
+        valid = (not g.size or g.max() <= OCCUPIED) if g.dtype == np.uint8 \
+            else _whole_in_range(g, UNKNOWN, OCCUPIED)
+        if not valid:
             raise ValueError("grid cells must be unknown/free/occupied")
-        self.grid = g
+        self.grid = g.astype(np.uint8, copy=False)
         self.origin = (float(self.origin[0]), float(self.origin[1]))
 
     @classmethod
@@ -203,15 +206,15 @@ def _cell_centres(m: OccupancyMap, ii, jj):
     return m.origin[0] + (jj + 0.5) * m.cell_cm, m.origin[1] + (ii + 0.5) * m.cell_cm
 
 
-def _frames(m: OccupancyMap, rotations) -> list:
-    """Each rotation's (origin, (height, width)) on the map frame's grid.
+def _largest_turn(m: OccupancyMap, rotations, pool: int):
+    """The largest (height, width) of the partial turned by each rotation
+    (``_rotated``) and pooled ``pool`` x ``pool``.
 
-    A quarter turn is the exact grid rotation ``_rot90_map``, which keeps
-    UNKNOWN margins. Any other rotation turns each known cell's centre and
-    bins the results on a grid whose corner sits half a cell below the
-    smallest. Rotation stays monotone along a grid row in floating point, so
-    the first and last known cell of each row hold every extreme rotated
-    coordinate, and only those cells are turned here.
+    A quarter turn keeps the grid's shape, transposed or not. Any other turn
+    needs only each row's first and last known cell: rotation stays monotone
+    along a grid row in floating point, so those cells hold every extreme
+    rotated coordinate, and the shape found from them is the one ``_rotated``
+    finds from every cell.
     """
     known = m.grid != UNKNOWN
     rows = np.flatnonzero(known.any(axis=1))
@@ -222,18 +225,11 @@ def _frames(m: OccupancyMap, rotations) -> list:
     quarters = [_quarter_turns(rot) for rot in rotations]
     rx, ry = _turned([rot for rot, q in zip(rotations, quarters) if q is None], cx, cy)
     c = m.cell_cm
-    ox, oy = rx.min(axis=1) - 0.5 * c, ry.min(axis=1) - 0.5 * c
-    w = ((rx.max(axis=1) - ox) / c).astype(np.intp) + 1
-    h = ((ry.max(axis=1) - oy) / c).astype(np.intp) + 1
-    turned = zip(zip(ox.tolist(), oy.tolist()), zip(h.tolist(), w.tolist()))
-    frames = []
-    for q in quarters:
-        if q is None:
-            frames.append(next(turned))
-        else:
-            r = _rot90_map(m, q)
-            frames.append((r.origin, r.grid.shape))
-    return frames
+    w = ((rx.max(axis=1) - (rx.min(axis=1) - 0.5 * c)) / c).astype(np.intp) + 1
+    h = ((ry.max(axis=1) - (ry.min(axis=1) - 0.5 * c)) / c).astype(np.intp) + 1
+    shapes = [m.grid.shape[::-1] if q % 2 else m.grid.shape for q in quarters if q is not None]
+    shapes += zip(h.tolist(), w.tolist())
+    return tuple((-(-np.array(shapes) // pool)).max(axis=0).tolist())
 
 
 def _states(grid: np.ndarray):
@@ -251,45 +247,38 @@ def _known_cells(m: OccupancyMap):
     return (*_cell_centres(m, ii, jj), n_free)
 
 
-def _canvases(m: OccupancyMap, cells, rotations, frames, pool: int, code) -> np.ndarray:
-    """The rotated partials of one chunk, as a stack of equal canvases.
+def _rotated(m: OccupancyMap, rot, cells, pool: int, code):
+    """The partial turned CCW by ``rot`` degrees: its (origin, (height, width))
+    on the map frame's grid, and that grid, its states coded by ``code``
+    (UNKNOWN 0 < FREE < OCCUPIED), pooled ``pool`` x ``pool`` by a max (ragged
+    edges padded UNKNOWN) and flipped on both axes.
 
-    Each rotation's grid, its states coded by ``code`` (UNKNOWN 0 < FREE <
-    OCCUPIED), is flipped on both axes and pooled ``pool`` x ``pool`` by a max,
-    its ragged edges padded UNKNOWN, into the top-left corner of a zero canvas.
-    Cells go straight to their pooled cells, FREE first and then OCCUPIED, so
-    OCCUPIED wins both where rotated cells collide and within a block.
-    ``cells`` holds the centres of ``m``'s known cells and how many are FREE,
-    from ``_known_cells``.
+    A quarter turn is the exact grid rotation ``_rot90_map``, which keeps
+    UNKNOWN margins. Any other turn rotates each known cell's centre, from
+    ``cells`` (``_known_cells``), and bins the results on a grid whose corner
+    sits half a cell below the smallest. Cells go straight to their pooled
+    cells, FREE first and then OCCUPIED, so OCCUPIED wins both where rotated
+    cells collide and within a block.
     """
-    spans = -(-np.array([shape for _, shape in frames]) // pool)
-    depth, (height, width) = len(frames), spans.max(axis=0)
-    canvas = np.zeros((depth, height, width))
-    flat = canvas.reshape(-1)
-    # the flat index of each grid's cell (0, 0), flipped into its canvas' corner
-    last = (np.arange(depth) * height + spans[:, 0] - 1) * width + spans[:, 1] - 1
-
-    def scatter(k, rows, cols, n_free):
-        at = last[k] - rows // pool * width - cols // pool
-        flat[at[..., :n_free]] = code[FREE]
-        flat[at[..., n_free:]] = code[OCCUPIED]
-
-    quarters = [_quarter_turns(rot) for rot in rotations]
-    turned = [k for k, q in enumerate(quarters) if q is None]
-    if turned:
+    q = _quarter_turns(rot)
+    if q is None:
         cx, cy, n_free = cells
-        rx, ry = _turned([rotations[k] for k in turned], cx, cy)
-        origins = np.array([frames[k][0] for k in turned])
+        rx, ry = _turned([rot], cx, cy)
+        c = m.cell_cm
+        ox, oy = float(rx.min()) - 0.5 * c, float(ry.min()) - 0.5 * c
         # the offsets are at least half a cell, so truncation floors them
-        rx -= origins[:, :1]
-        rx /= m.cell_cm
-        ry -= origins[:, 1:]
-        ry /= m.cell_cm
-        scatter(np.array(turned)[:, None], ry.astype(np.intp), rx.astype(np.intp), n_free)
-    for k, q in enumerate(quarters):
-        if q is not None:
-            scatter(k, *_states(_rot90_map(m, q).grid))
-    return canvas
+        rows, cols = ((ry[0] - oy) / c).astype(np.intp), ((rx[0] - ox) / c).astype(np.intp)
+        frame = (ox, oy), (int(rows.max()) + 1, int(cols.max()) + 1)
+    else:
+        r = _rot90_map(m, q)
+        rows, cols, n_free = _states(r.grid)
+        frame = r.origin, r.grid.shape
+    h, w = (-(-n // pool) for n in frame[1])
+    grid = np.zeros(h * w)
+    at = h * w - 1 - rows // pool * w - cols // pool
+    grid[at[:n_free]] = code[FREE]
+    grid[at[n_free:]] = code[OCCUPIED]
+    return frame, grid.reshape(h, w)
 
 
 class _Correlator:
@@ -341,21 +330,18 @@ class _Correlator:
             raise ValueError(f"maps too large to count placements exactly: {n_known} known "
                              f"partial cells on {shape[0]}x{shape[1]} transforms")
 
-    def __call__(self, canvases: np.ndarray):
-        """(overlap, match) as integer-valued float arrays, for a stack of
-        canvases coded with ``self.code``, each holding a partial grid flipped
-        on both axes in its top-left corner. Entry [k, dy + h - 1, dx + w - 1]
-        counts the cells of canvas k's (h, w) grid that land on global cell
-        (i + dy, j + dx); every other entry, up to the global size plus the
-        canvas size less one, is 0.
+    def __call__(self, grid: np.ndarray):
+        """(overlap, match) as integer-valued float arrays, for a partial grid
+        coded with ``self.code`` and flipped on both axes. Entry
+        [dy + h - 1, dx + w - 1] counts the cells (i, j) of the (h, w) grid
+        that land on global cell (i + dy, j + dx).
         """
-        _, h, w = canvases.shape
-        crop = (slice(None), slice(self.global_shape[0] + h - 1),
-                slice(self.global_shape[1] + w - 1))
-        spectrum = np.fft.rfft2(canvases, self.shape, axes=(1, 2))
+        h, w = grid.shape
+        crop = slice(self.global_shape[0] + h - 1), slice(self.global_shape[1] + w - 1)
+        spectrum = np.fft.rfft2(grid, self.shape)
         digits = []
         for g in self.spectra:
-            x = np.rint(np.fft.irfft2(spectrum * g, self.shape, axes=(1, 2))[crop])
+            x = np.rint(np.fft.irfft2(spectrum * g, self.shape)[crop])
             digits += self._split(x)
         if self.packed:
             ff, rest = digits
@@ -392,35 +378,26 @@ def _search(global_grid: np.ndarray, partial: OccupancyMap, rotations, pool: int
     match / overlap over placements with at least ``min_overlap`` overlapping
     cells, -1.0 when there is none, and (ay, ax) is its first index, row-major,
     into the rotation's (H + h - 1, W + w - 1) counts (``_Correlator``).
-    Rotations are batched in chunks of about _CHUNK_BYTES of spectra. A
-    chunk's counts extend past each grid's own, but only with placements that
-    overlap nothing: with ``min_overlap`` above 0 they are never valid, and
-    with 0 they score 0, where the first index, (0, 0), is the grid's own.
-    So neither the score nor its index depends on the chunk.
+    One FFT shape, fitting the largest turned grid, serves every rotation.
     """
     if not rotations or not partial.known_count():
         return
-    frames = _frames(partial, rotations)
     if pool > 1:
         global_grid = _pool(global_grid)
     gh, gw = global_grid.shape
-    h, w = (-(-np.array([shape for _, shape in frames]) // pool)).max(axis=0)
-    shape = (_smooth_size(gh + int(h) - 1), _smooth_size(gw + int(w) - 1))
+    h, w = _largest_turn(partial, rotations, pool)
+    shape = (_smooth_size(gh + h - 1), _smooth_size(gw + w - 1))
     cells = _known_cells(partial)
     n_free = cells[2]
     counts = _Correlator(global_grid, n_free, len(cells[0]) - n_free, shape)
-    chunk = max(1, _CHUNK_BYTES // (16 * shape[0] * (shape[1] // 2 + 1)))
-    for start in range(0, len(frames), chunk):
-        part = slice(start, start + chunk)
-        overlap, match = counts(_canvases(partial, cells, rotations[part], frames[part], pool,
-                                          counts.code))
+    for rot in rotations:
+        frame, grid = _rotated(partial, rot, cells, pool, counts.code)
+        overlap, match = counts(grid)
         invalid = overlap < min_overlap
         scores = np.divide(match, np.maximum(overlap, 1, out=overlap), out=match)
         scores[invalid] = -1.0
-        flat = scores.reshape(len(scores), -1)
-        best = flat.argmax(axis=1)
-        for frame, row, at in zip(frames[part], flat, best.tolist()):
-            yield frame, float(row[at]), divmod(at, scores.shape[2])
+        at = int(scores.argmax())
+        yield frame, float(scores.flat[at]), divmod(at, scores.shape[1])
 
 
 @dataclass(frozen=True)
@@ -506,14 +483,13 @@ def localize(global_map: OccupancyMap, partial: OccupancyMap,
     pooled cells, then the 4 best and each degree within 2 of them are
     re-scored at full resolution, where ties keep the smallest (rotation, dy, dx).
 
-    Each stage takes its rotations in chunks whose spectra fill about 256 KiB,
-    so its working set does not grow with their number. Per chunk, one
-    vectorized pass rotates the partial's known cells (with the products and
-    floors of rotating it alone) into pooled canvases; one forward and one
-    inverse FFT per rotation give the packed correlation X = ff + B·(fo + of)
-    + B²·oo of grids coded FREE = 1, OCCUPIED = B (``_Correlator``), whose
-    base-B digits hold every placement's match = ff + oo and overlap = ff +
-    fo + of + oo; and one batched pass scores them. The counts are exact,
+    Each stage scores one rotation at a time, so its working set does not
+    grow with their number. Per rotation, the partial's known cells are
+    turned straight into a pooled, flipped grid; one forward and one inverse
+    FFT give the packed correlation X = ff + B·(fo + of) + B²·oo of grids
+    coded FREE = 1, OCCUPIED = B (``_Correlator``), whose base-B digits hold
+    every placement's match = ff + oo and overlap = ff + fo + of + oo; and
+    one vectorized pass scores them. The counts are exact,
     so the pose does not depend on FFT rounding: the packed layout is used
     while X < 2^53 and u·log2(L)·‖g‖₂·‖q‖₂ ≤ 1/64 (u the float64 unit
     round-off, L the FFT points). Past that bound, as for a whole 300x300

@@ -13,6 +13,14 @@ import numpy as np
 GRAY_WEIGHTS = (0.299, 0.587, 0.114)
 
 
+def _whole_in_range(values: np.ndarray, lo: int, hi: int) -> bool:
+    """Whether every value is a whole number in [lo, hi]; nan never is. Check
+    this before casting to a narrower integer type, which would wrap or
+    truncate what fails it."""
+    return not values.size or bool(values.min() >= lo and values.max() <= hi and (
+        np.issubdtype(values.dtype, np.integer) or (values == np.rint(values)).all()))
+
+
 @dataclass(frozen=True, eq=False)
 class Raster:
     """Rectangular 8-bit image; ``pixels`` is (h, w) grayscale or (h, w, 3) RGB."""
@@ -28,10 +36,8 @@ class Raster:
         # uint8 input is in range by construction; skipping the scan keeps
         # wrapping a decoded frame, a crop or a band cheap
         if px.dtype != np.uint8:
-            if not (px.min() >= 0 and px.max() <= 255):
-                raise ValueError("raster pixel values must lie in 0..255")
-            if not np.issubdtype(px.dtype, np.integer) and not (px == np.rint(px)).all():
-                raise ValueError("raster pixel values must be whole numbers")
+            if not _whole_in_range(px, 0, 255):
+                raise ValueError("raster pixel values must be whole numbers in 0..255")
             px = px.astype(np.uint8)
         object.__setattr__(self, "pixels", px)
 

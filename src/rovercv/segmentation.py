@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import label_components
-from .raster import Raster, blurred_gray, sobel_magnitude
+from .raster import Raster, _whole_in_range, blurred_gray, sobel_magnitude
 
 
 @dataclass(frozen=True, eq=False)
@@ -24,8 +24,8 @@ class LabelMask:
             raise ValueError("labels must be a 2-D grid")
         if self.num_labels < 1:
             raise ValueError("num_labels must be positive")
-        if lab.size and (lab.min() < 0 or lab.max() >= self.num_labels):
-            raise ValueError("labels must lie in [0, num_labels)")
+        if not _whole_in_range(lab, 0, self.num_labels - 1):
+            raise ValueError("labels must be whole numbers in [0, num_labels)")
         object.__setattr__(self, "labels", lab.astype(np.int32))
 
     @property

@@ -46,6 +46,13 @@ class TestTraining:
         with pytest.raises(ValueError, match="single-class"):
             svm_train(X, np.ones(len(X)))
 
+    def test_non_finite_rows_rejected(self):
+        X, y = separable_blobs()
+        X[[4, 17], [1, 0]] = [np.nan, -np.inf]
+        with pytest.raises(ValueError, match=r"non-finite feature values in training rows "
+                                             r"\[4, 17\]"):
+            svm_train(X, y)
+
     def test_zero_one_labels_accepted(self):
         X, y = separable_blobs(seed=2)
         model = svm_train(X, (y > 0).astype(int), seed=3)

@@ -16,7 +16,7 @@ from scenes import (
     road_frame,
     write_replay,
 )
-from rovercv.cli import _draw_segment, run
+from rovercv.cli import _draw_segment, _json_bytes, run
 from rovercv.geometry import LaneSide
 from rovercv.mapping import OccupancyMap, map_to_bytes
 from rovercv.raster import Raster, load_pnm, save_pnm
@@ -256,6 +256,26 @@ def test_train_single_class_exits_one(tmp_path, capsys):
     assert "single-class" in capsys.readouterr().err
     assert not out.exists()
 
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_train_non_finite_features_exit_one(tmp_path, capsys, value):
+    feats = tmp_path / "feats.csv"
+    rows = [f"{i % 2}," + ",".join(str(v) for v in np.arange(4) + i) for i in range(6)]
+    rows[3] = rows[3].replace(",5", f",{value}")
+    feats.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "model.json"
+    assert run(["train", str(feats), "--out", str(out)]) == 1
+    assert "non-finite feature values in training rows [3]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_json_outputs_refuse_non_finite_numbers():
+    # NaN and Infinity are not JSON; a command must fail instead of writing them
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _json_bytes({"bias": value})
+
+
 def bend_maps(tmp_path):
     """An L-shaped corridor's map and a 40x40 cutout of it around the bend, as
     (map path, cutout path, map, cutout row, cutout column)."""
@@ -411,6 +431,9 @@ def test_parser_dest_not_read_from_config_rejected(tmp_path, capsys, key):
      {"edge_threshold": 256}, "edge_threshold"),
     (["extract", "patches", "labels.csv"], {"hog_cell": 1}, "hog_cell"),
     (["extract", "patches", "labels.csv"], {"hog_bins": 1}, "hog_bins"),
+    (["extract", "patches", "labels.csv"], {"hog_per_channel": "no"}, "hog_per_channel"),
+    (["extract", "patches", "labels.csv"], {"hog_per_channel": "false"}, "hog_per_channel"),
+    (["extract", "patches", "labels.csv"], {"hog_per_channel": 0}, "hog_per_channel"),
 ])
 def test_bad_config_value_exits_two(tmp_path, capsys, command, config, key):
     cfg = tmp_path / "cfg.json"

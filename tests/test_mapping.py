@@ -19,13 +19,13 @@ from rovercv.mapping import (
     LocalizeConfig,
     OccupancyMap,
     Pose,
-    _canvases,
     _Correlator,
-    _frames,
     _known_cells,
+    _largest_turn,
     _localize_at,
     _pool,
     _rot90_map,
+    _rotated,
     _smooth_size,
     advance_pose,
     explore_step,
@@ -216,6 +216,15 @@ def tri_state(rng, shape, p_known, p_occ):
     return np.where(known, np.where(occ, OCCUPIED, FREE), UNKNOWN).astype(np.uint8)
 
 
+def random_partial(rng):
+    """A random tri-state map with at least one known cell, off the frame origin."""
+    grid = tri_state(rng, tuple(rng.integers(1, 25, 2)), rng.uniform(0.05, 1.0),
+                     rng.uniform(0.0, 0.6))
+    grid[rng.integers(grid.shape[0]), rng.integers(grid.shape[1])] = FREE
+    return OccupancyMap(cell_cm=float(rng.choice([1.0, 2.0, 2.5])),
+                        origin=tuple(rng.uniform(-50.0, 50.0, 2)), grid=grid)
+
+
 def draw_wall(grid, angle_deg, offset):
     """Mark an occupied straight wall through the grid at an arbitrary angle."""
     h, w = grid.shape
@@ -297,8 +306,8 @@ def correlate(g, p):
     (overlap, match) of every placement."""
     shape = (_smooth_size(g.shape[0] + p.shape[0] - 1), _smooth_size(g.shape[1] + p.shape[1] - 1))
     counts = _Correlator(g, int((p == FREE).sum()), int((p == OCCUPIED).sum()), shape)
-    overlap, match = counts(counts.code[p[::-1, ::-1]][None])
-    return counts.packed, overlap[0], match[0]
+    overlap, match = counts(counts.code[p[::-1, ::-1]])
+    return counts.packed, overlap, match
 
 
 def xcorr_counts(g, p):
@@ -420,23 +429,28 @@ class TestSharedSpectraSearch:
     @given(st.integers(0, 2**32 - 1), st.sampled_from((1, 2)),
            st.lists(st.integers(0, 359) | st.sampled_from((0, 90, 180, 270)),
                     min_size=1, max_size=8))
-    def test_canvases_equal_each_rotation_alone(self, seed, pool, rotations):
-        rng = np.random.default_rng(seed)
-        grid = tri_state(rng, tuple(rng.integers(1, 25, 2)), rng.uniform(0.05, 1.0),
-                         rng.uniform(0.0, 0.6))
-        grid[rng.integers(grid.shape[0]), rng.integers(grid.shape[1])] = FREE
-        m = OccupancyMap(cell_cm=float(rng.choice([1.0, 2.0, 2.5])),
-                         origin=tuple(rng.uniform(-50.0, 50.0, 2)), grid=grid)
-        frames = _frames(m, rotations)
-        canvases = _canvases(m, _known_cells(m), rotations, frames, pool,
-                             np.array([0.0, 1.0, 2.0]))
-        for rot, frame, canvas in zip(rotations, frames, canvases, strict=True):
+    def test_rotated_equals_each_rotation_alone(self, seed, pool, rotations):
+        m = random_partial(np.random.default_rng(seed))
+        code = np.array([0.0, 1.0, 2.0])
+        for rot in rotations:
+            frame, grid = _rotated(m, rot, _known_cells(m), pool, code)
             r = _rotate_map(m, rot)
             assert frame == (r.origin, r.grid.shape)
-            want = (_pool(r.grid) if pool > 1 else r.grid)[::-1, ::-1]
-            h, w = want.shape
-            assert np.array_equal(canvas[:h, :w], want)
-            assert not canvas[h:].any() and not canvas[:, w:].any()
+            want = code[_pool(r.grid) if pool > 1 else r.grid][::-1, ::-1]
+            assert np.array_equal(grid, want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from((1, 2)),
+           st.lists(st.integers(0, 359) | st.sampled_from((0, 90, 180, 270)),
+                    min_size=1, max_size=8))
+    def test_largest_turn_fits_every_rotation(self, seed, pool, rotations):
+        # the one FFT shape a search uses is sized from this pre-pass over each
+        # row's end cells; it must be the largest shape any rotation turns out
+        m = random_partial(np.random.default_rng(seed))
+        pooled = [_pool(_rotate_map(m, rot).grid) if pool > 1 else _rotate_map(m, rot).grid
+                  for rot in rotations]
+        assert _largest_turn(m, rotations, pool) == tuple(
+            max(g.shape[axis] for g in pooled) for axis in (0, 1))
 
     @settings(max_examples=100, deadline=None)
     @given(localize_cases())
@@ -552,6 +566,23 @@ class TestSerialization:
         corrupted = data[:-1] + bytes([7])
         with pytest.raises(ValueError, match="invalid map cell value"):
             map_from_bytes(corrupted)
+
+    @pytest.mark.parametrize("make, value, message", [
+        *[("map", v, "unknown/free/occupied") for v in (-255, -1, 3, 257, 1.7, np.nan)],
+        *[("mask", v, r"whole numbers in \[0, num_labels\)") for v in (-1, 2, 1.9, np.nan)],
+    ])
+    def test_values_that_would_wrap_or_truncate_rejected(self, make, value, message):
+        # checked before the cast, after which -255 and 257 read as FREE, 1.7 and
+        # 1.9 as 1, and nan as UNKNOWN
+        cells = np.array([[0, 1], [1, value]])
+        with pytest.raises(ValueError, match=message):
+            if make == "map":
+                OccupancyMap(cell_cm=2.0, origin=(0.0, 0.0), grid=cells)
+            else:
+                LabelMask(cells, num_labels=2)
+        whole = np.array([[0.0, 1.0], [1.0, 1.0]])
+        assert OccupancyMap(cell_cm=2.0, origin=(0.0, 0.0), grid=whole).grid.dtype == np.uint8
+        assert LabelMask(whole, num_labels=2).labels.dtype == np.int32
 
     @pytest.mark.parametrize("edit, field", [
         (lambda h: [1, 2], "expected a JSON object"),
