@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 runtime/domain error (message on stderr), 2 usage or
 configuration error. No output file is written when the exit code is nonzero.
 
-Each subcommand's handler is a generator of (path, bytes) outputs; ``run``
+Each subcommand's handler is a generator of (path, bytes-like) outputs; ``run``
 writes each to a temporary file as it arrives and renames them all at the end.
 """
 
@@ -299,34 +299,42 @@ def _feature_config(args) -> FeatureConfig:
 
 
 def _cmd_extract(args):
+    """One features.csv row per patch, each appended to the output as soon as it
+    is formatted, so the text is held once."""
     cfg = _feature_config(args)
-    rows = []
     labels_text = Path(args.labels_csv).read_text().strip()
     if not labels_text:
         raise ValueError("labels CSV is empty")
-    layout = None
+    out, layout = bytearray(), None
     for line in labels_text.splitlines():
         name, _, label = line.strip().partition(",")
         if label not in ("0", "1"):
             raise ValueError(f"label for {name!r} must be 0 or 1, got {label!r}")
-        fv = extract_features(load_pnm(Path(args.patch_dir) / name), cfg)
+        path = Path(args.patch_dir) / name
+        try:
+            fv = extract_features(load_pnm(path), cfg)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         layout = fv.layout
-        rows.append(label + "," + ",".join(map(repr, fv.values.tolist())))
-    yield Path(args.out), ("\n".join(rows) + "\n").encode("ascii")
+        out += (label + "," + ",".join(map(repr, fv.values.tolist())) + "\n").encode("ascii")
+    yield Path(args.out), out
     layout_path = args.layout_json or str(Path(args.out).with_suffix(".layout.json"))
     yield Path(layout_path), _json_bytes({k: list(v) for k, v in layout.items()})
 
 
 def _read_features_csv(path) -> tuple:
-    text = Path(path).read_text().strip()
-    if not text:
-        raise ValueError("features CSV is empty")
-    labels, rows = [], []
-    for line in text.splitlines():
-        parts = line.split(",")
-        labels.append(float(parts[0]))
-        rows.append([float(v) for v in parts[1:]])
-    return np.asarray(rows, dtype=np.float64), np.asarray(labels)
+    """(X, labels) from features.csv, parsed by numpy's C reader. Blank lines are
+    skipped; a ``#`` is data, so a row that starts with one fails."""
+    # loadtxt warns on an empty file and fails on whitespace alone, so read up
+    # to the first byte of text first
+    with open(path, "rb") as f:
+        if not any(chunk.strip() for chunk in iter(lambda: f.read(1 << 16), b"")):
+            raise ValueError("features CSV is empty")
+    try:
+        data = np.loadtxt(path, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return data[:, 1:], data[:, 0]
 
 
 def _cmd_train(args):

@@ -211,24 +211,25 @@ def watershed_segment(img: Raster, markers: LabelMask) -> WatershedResult:
     return WatershedResult(LabelMask(labels, num_labels=int(seeds.max()) + 1), line_mask)
 
 
+def _l1_pass(f: np.ndarray, axis: int) -> np.ndarray:
+    """g[i] = min over j <= i of f[j] + (i - j), along ``axis``."""
+    i = np.arange(f.shape[axis]).reshape((-1, 1) if axis == 0 else (1, -1))
+    return i + np.minimum.accumulate(f - i, axis=axis)
+
+
 def _distance_to_outside(region: np.ndarray) -> np.ndarray:
-    """4-connected grid distance from each region cell to the nearest non-region cell."""
-    dist = np.where(region, -1, 0).astype(np.int64)
-    frontier = ~region
-    d = 0
-    while True:
-        d += 1
-        grown = np.zeros_like(frontier)
-        grown[1:, :] |= frontier[:-1, :]
-        grown[:-1, :] |= frontier[1:, :]
-        grown[:, 1:] |= frontier[:, :-1]
-        grown[:, :-1] |= frontier[:, 1:]
-        newly = grown & (dist == -1)
-        if not newly.any():
-            break
-        dist[newly] = d
-        frontier = newly
-    dist[dist == -1] = 0  # region with no outside at all; callers guarantee both classes
+    """4-connected grid distance from each region cell to the nearest non-region cell.
+
+    That is the L1 distance transform, exact in one forward and one backward
+    pass per axis. A region with no outside at all gets 0; callers guarantee
+    both classes.
+    """
+    far = sum(region.shape)  # above every distance on the grid
+    dist = np.where(region, far, 0)
+    for axis in (0, 1):
+        backward = np.flip(_l1_pass(np.flip(dist, axis), axis), axis)
+        dist = np.minimum(_l1_pass(dist, axis), backward)
+    dist[dist >= far] = 0
     return dist
 
 

@@ -17,6 +17,7 @@ import heapq
 import math
 from collections import deque
 from itertools import count
+from pathlib import Path
 
 import numpy as np
 
@@ -353,6 +354,28 @@ def bfs_label_components(mask: np.ndarray, connectivity: int = 8):
     return labels, current
 
 
+def bfs_distance_to_outside(region: np.ndarray) -> np.ndarray:
+    """4-connected grid distance from each region cell to the nearest non-region
+    cell, grown one breadth-first ring per pass; 0 where there is no outside."""
+    dist = np.where(region, -1, 0).astype(np.int64)
+    frontier = ~region
+    d = 0
+    while True:
+        d += 1
+        grown = np.zeros_like(frontier)
+        grown[1:, :] |= frontier[:-1, :]
+        grown[:-1, :] |= frontier[1:, :]
+        grown[:, 1:] |= frontier[:, :-1]
+        grown[:, :-1] |= frontier[:, 1:]
+        newly = grown & (dist == -1)
+        if not newly.any():
+            break
+        dist[newly] = d
+        frontier = newly
+    dist[dist == -1] = 0
+    return dist
+
+
 def heap_watershed(img, markers: LabelMask) -> WatershedResult:
     """Priority-flood the image treated as terrain height, starting from marker seeds.
 
@@ -677,3 +700,16 @@ def stamped_segment(pixels, side, color):
             for dx in (-1, 0, 1):
                 if 0 <= y + dy < h and 0 <= x + dx < w:
                     pixels[y + dy, x + dx] = color
+
+
+def per_field_features_csv(path):
+    """(X, labels) from features.csv, each field parsed by ``float`` in turn."""
+    text = Path(path).read_text().strip()
+    if not text:
+        raise ValueError("features CSV is empty")
+    labels, rows = [], []
+    for line in text.splitlines():
+        parts = line.split(",")
+        labels.append(float(parts[0]))
+        rows.append([float(v) for v in parts[1:]])
+    return np.asarray(rows, dtype=np.float64), np.asarray(labels)

@@ -1,11 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import stamped_segment
+from oracles import per_field_features_csv, stamped_segment
 from scenes import (
     calibration_scene,
     car_patch,
@@ -16,7 +17,7 @@ from scenes import (
     road_frame,
     write_replay,
 )
-from rovercv.cli import _draw_segment, _json_bytes, run
+from rovercv.cli import _draw_segment, _json_bytes, _read_features_csv, run
 from rovercv.geometry import LaneSide
 from rovercv.mapping import OccupancyMap, map_to_bytes
 from rovercv.raster import Raster, load_pnm, save_pnm
@@ -274,6 +275,97 @@ def test_json_outputs_refuse_non_finite_numbers():
     for value in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="not JSON compliant"):
             _json_bytes({"bias": value})
+
+
+@pytest.mark.parametrize("text, what", [
+    ("1,2,3\n0,4\n", "the number of columns changed from 3 to 2 at row 2"),
+    ("1,2,3\n0,4,x\n", "could not convert string 'x'"),
+    ("1,2,3\n#0,4,5\n", "could not convert string '#0'"),  # '#' starts no comment
+])
+def test_train_unreadable_features_name_the_file(tmp_path, capsys, text, what):
+    feats, out = tmp_path / "feats.csv", tmp_path / "model.json"
+    feats.write_text(text)
+    assert run(["train", str(feats), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {feats}: ") and what in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["", " \n\t\n"])
+def test_train_empty_features_exit_one(tmp_path, capfd, text):
+    feats, out = tmp_path / "feats.csv", tmp_path / "model.json"
+    feats.write_text(text)
+    assert run(["train", str(feats), "--out", str(out)]) == 1
+    assert capfd.readouterr().err == "error: features CSV is empty\n"  # and no numpy warning
+    assert not out.exists()
+
+
+def test_train_skips_blank_lines(tmp_path):
+    feats = tmp_path / "feats.csv"
+    feats.write_text("1,2,3\n\n0,4,5\n\n")
+    X, y = _read_features_csv(feats)
+    assert X.tolist() == [[2.0, 3.0], [4.0, 5.0]] and y.tolist() == [1.0, 0.0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.floats(allow_nan=False), min_size=3, max_size=3),
+                min_size=1, max_size=6),
+       st.lists(st.sampled_from([0.0, 1.0]), min_size=6, max_size=6))
+@example([[-0.0, 5e-324, 1e-05], [1e+16, 2.0, -7.0], [2.2250738585072014e-308, 0.1, 1e22]],
+         [1.0] * 6)
+def test_features_csv_parses_bit_identical_to_float(tmp_path_factory, rows, labels):
+    feats = tmp_path_factory.mktemp("csv") / "feats.csv"
+    feats.write_text("".join(f"{label!r}," + ",".join(map(repr, row)) + "\n"
+                             for label, row in zip(labels, rows)))
+    X, y = _read_features_csv(feats)
+    want_X, want_y = per_field_features_csv(feats)
+    assert X.shape == want_X.shape and X.tobytes() == want_X.tobytes()
+    assert y.tobytes() == want_y.tobytes()
+
+
+def test_features_csv_parsed_without_copies_of_its_text(tmp_path):
+    # 120 rows of 4,932 repr-written features are 11 MB of text for a 4.7 MB array
+    values = np.random.default_rng(5).standard_normal((120, 4932))
+    feats = tmp_path / "feats.csv"
+    feats.write_text("".join(f"{i % 2}," + ",".join(map(repr, row)) + "\n"
+                             for i, row in enumerate(values.tolist())))
+    tracemalloc.start()
+    try:
+        X, _ = _read_features_csv(feats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(X, values)
+    assert peak < 2 * values.nbytes
+
+
+def test_extract_holds_its_output_once(tmp_path):
+    patch_dir, labels = _write_patches(tmp_path, n_cars=24, n_noise=24)
+    out = tmp_path / "features.csv"
+    tracemalloc.start()
+    try:
+        assert run(["extract", str(patch_dir), str(labels), "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * out.stat().st_size
+
+
+@pytest.mark.parametrize("payload, what", [
+    (None, "expected a 64x64 patch, got 32x32"),
+    (b"P6\n64 64\n255\n" + bytes(100), "truncated payload"),
+], ids=["32x32", "truncated"])
+def test_extract_bad_patch_names_it(tmp_path, capsys, payload, what):
+    patch_dir, labels = _write_patches(tmp_path, n_cars=1, n_noise=1)
+    bad = patch_dir / "noise_0.pnm"
+    if payload is None:
+        save_pnm(bad, noise_patch(np.random.default_rng(3), size=32))
+    else:
+        bad.write_bytes(payload)
+    out = tmp_path / "features.csv"
+    assert run(["extract", str(patch_dir), str(labels), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: {what}")
+    assert not out.exists()
 
 
 def bend_maps(tmp_path):

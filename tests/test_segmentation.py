@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import best_1d_two_means_split, brute_otsu, heap_watershed
+from oracles import (
+    best_1d_two_means_split,
+    bfs_distance_to_outside,
+    brute_otsu,
+    heap_watershed,
+)
 from scenes import floor_box_scene, stain_scene
 from rovercv.raster import Raster, blurred_gray, sobel_magnitude
 from rovercv.segmentation import (
     LabelMask,
     SegmentConfig,
     _derive_markers,
+    _distance_to_outside,
     kmeans_points,
     kmeans_segment,
     otsu_from_histogram,
@@ -196,6 +202,24 @@ class TestWatershedMatchesHeapOracle:
         gray_img = blurred_gray(scene()[0], SegmentConfig().blur_passes)
         markers, _ = _derive_markers(gray_img, SegmentConfig().marker_dist_frac)
         assert_matches_heap_oracle(sobel_magnitude(gray_img), markers)
+
+
+class TestDistanceToOutside:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 24), st.integers(1, 24), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    @example(5, 7, 1.0, 0)  # no outside at all
+    @example(5, 7, 0.0, 0)  # no region at all
+    def test_equals_breadth_first_search(self, h, w, density, seed):
+        region = np.random.default_rng(seed).random((h, w)) < density
+        got = _distance_to_outside(region)
+        assert np.array_equal(got, bfs_distance_to_outside(region))
+
+    @pytest.mark.parametrize("scene", [floor_box_scene, stain_scene])
+    def test_equals_breadth_first_search_on_scene_splits(self, scene):
+        gray_img = blurred_gray(scene()[0], SegmentConfig().blur_passes)
+        fg = gray_img.pixels >= otsu_threshold(gray_img).threshold
+        for region in (fg, ~fg):
+            assert np.array_equal(_distance_to_outside(region), bfs_distance_to_outside(region))
 
 
 class TestSegmentFloor:
