@@ -63,7 +63,8 @@ def svm_train(X, y, lambda_: float = 1e-4, epochs: int = 30, seed: int = 42,
     mean = X.mean(axis=0)
     std = X.std(axis=0)
     std = np.where(std == 0.0, 1.0, std)
-    Z = (X - mean) / std
+    Z = X - mean
+    Z /= std
 
     rng = np.random.default_rng(seed)
     n, d = Z.shape

@@ -333,8 +333,41 @@ def _read_features_csv(path) -> tuple:
     try:
         data = np.loadtxt(path, delimiter=",", comments=None, ndmin=2)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {_bad_csv_row(path) or exc}") from None
     return data[:, 1:], data[:, 0]
+
+
+def _parses(text: str) -> bool:
+    """Whether numpy's reader takes ``text`` as one row of numbers."""
+    try:
+        return bool(text) and len(np.loadtxt([text], delimiter=",", comments=None, ndmin=2)) == 1
+    except ValueError:
+        return False
+
+
+def _bad_csv_row(path):
+    """Why numpy's reader rejects the CSV at ``path``, naming the first line at
+    fault as row N, counted from 1 with blank lines counted; None if no line is.
+
+    numpy's own row numbers skip blank lines and count from 1 when a row's
+    width changes but from 0 when a field does not parse. So on an error the
+    file is read again one line at a time, numpy parsing each, and one field
+    at a time on the line that fails.
+    """
+    width = None
+    with open(path, encoding="latin-1", newline="\n") as f:
+        for row, line in enumerate(f, 1):
+            fields = line.rstrip("\r\n").split(",")
+            if fields == [""]:
+                continue
+            if width is None:
+                width = len(fields)
+            elif len(fields) != width:
+                return f"the number of columns changed from {width} to {len(fields)} at row {row}"
+            if not _parses(line):
+                col, field = next((j, v) for j, v in enumerate(fields, 1) if not _parses(v))
+                return f"could not convert string {field!r} to float64 at row {row}, column {col}"
+    return None
 
 
 def _cmd_train(args):

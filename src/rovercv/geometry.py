@@ -204,7 +204,7 @@ def _tls_fit(moments):
     return rho, theta_deg
 
 
-def _refine(votes: _Votes, cols, rows, part_px: int):
+def _refine(votes: _Votes, cols, rows):
     """(rho, theta_deg, votes) of the peaks at accumulator cells (rows, cols) of
     the block ``votes``, which holds their columns and the neighbors of them.
 
@@ -215,8 +215,8 @@ def _refine(votes: _Votes, cols, rows, part_px: int):
     fixed point: every later band and refit would be the same, so the peak
     stops there with that band's size as its votes. Each round runs for all
     live peaks at once: candidates are gathered, tested and summed into band
-    moments in parts of about ``part_px`` pixels, and all bands are fitted
-    together.
+    moments in parts of about N pixels, N the number of on-pixels, and all
+    bands are fitted together.
     """
     k = len(rows)
     rho, theta_deg = np.zeros(k), np.zeros(k)
@@ -234,7 +234,7 @@ def _refine(votes: _Votes, cols, rows, part_px: int):
             rad = np.deg2rad(theta_deg[ids])
             cos_t, sin_t, rho_t = np.cos(rad), np.sin(rad), rho[ids]
         length = end - begin
-        part_of = (np.cumsum(length) - length) // part_px
+        part_of = (np.cumsum(length) - length) // len(xs)
         fitted, sums = [], []
         for part in np.split(np.arange(len(ids)), np.flatnonzero(np.diff(part_of)) + 1):
             run, pos = _runs(begin[part], end[part])
@@ -362,7 +362,7 @@ def hough_lines(edges: Raster, rho_res: float = 1.0, theta_res: float = 1.0,
         votes = _Votes(xy, terms, cols, np.cumsum(acc, axis=0, out=acc), order.ravel(),
                        n_theta, theta_res, rho_res, offs, diag,
                        max(edges.width, edges.height) - 1)
-        rho, theta_deg, count = _refine(votes, peak_cols, rows, part_px=n)
+        rho, theta_deg, count = _refine(votes, peak_cols, rows)
         del acc, order, votes
         lines += [HoughLine(rho=float(r), theta_deg=float(t), votes=int(v))
                   for r, t, v in zip(rho, theta_deg, count) if v >= min_votes]

@@ -189,49 +189,6 @@ def _quarter_turns(deg: float):
     return None
 
 
-def _turned(rotations, cx, cy):
-    """Points (cx, cy) rotated CCW by each angle in degrees, one row per angle.
-
-    Each angle's cosine and sine come from ``math``, and each coordinate is one
-    product pair and one sum, so every value is the one a single rotation of
-    the same points computes.
-    """
-    rad = [math.radians(r % 360.0) for r in rotations]
-    cos = np.array([math.cos(a) for a in rad])[:, None]
-    sin = np.array([math.sin(a) for a in rad])[:, None]
-    return cos * cx - sin * cy, sin * cx + cos * cy
-
-
-def _cell_centres(m: OccupancyMap, ii, jj):
-    return m.origin[0] + (jj + 0.5) * m.cell_cm, m.origin[1] + (ii + 0.5) * m.cell_cm
-
-
-def _largest_turn(m: OccupancyMap, rotations, pool: int):
-    """The largest (height, width) of the partial turned by each rotation
-    (``_rotated``) and pooled ``pool`` x ``pool``.
-
-    A quarter turn keeps the grid's shape, transposed or not. Any other turn
-    needs only each row's first and last known cell: rotation stays monotone
-    along a grid row in floating point, so those cells hold every extreme
-    rotated coordinate, and the shape found from them is the one ``_rotated``
-    finds from every cell.
-    """
-    known = m.grid != UNKNOWN
-    rows = np.flatnonzero(known.any(axis=1))
-    ends = known[rows]
-    cx, cy = _cell_centres(m, np.concatenate([rows, rows]),
-                           np.concatenate([ends.argmax(axis=1),
-                                           m.width - 1 - ends[:, ::-1].argmax(axis=1)]))
-    quarters = [_quarter_turns(rot) for rot in rotations]
-    rx, ry = _turned([rot for rot, q in zip(rotations, quarters) if q is None], cx, cy)
-    c = m.cell_cm
-    w = ((rx.max(axis=1) - (rx.min(axis=1) - 0.5 * c)) / c).astype(np.intp) + 1
-    h = ((ry.max(axis=1) - (ry.min(axis=1) - 0.5 * c)) / c).astype(np.intp) + 1
-    shapes = [m.grid.shape[::-1] if q % 2 else m.grid.shape for q in quarters if q is not None]
-    shapes += zip(h.tolist(), w.tolist())
-    return tuple((-(-np.array(shapes) // pool)).max(axis=0).tolist())
-
-
 def _states(grid: np.ndarray):
     """Rows and columns of the grid's FREE cells, then of its OCCUPIED ones, and
     how many are FREE."""
@@ -244,7 +201,7 @@ def _known_cells(m: OccupancyMap):
     """The centres (cx, cy) of the map's FREE cells, then of its OCCUPIED ones,
     and how many are FREE."""
     ii, jj, n_free = _states(m.grid)
-    return (*_cell_centres(m, ii, jj), n_free)
+    return m.origin[0] + (jj + 0.5) * m.cell_cm, m.origin[1] + (ii + 0.5) * m.cell_cm, n_free
 
 
 def _rotated(m: OccupancyMap, rot, cells, pool: int, code):
@@ -263,11 +220,13 @@ def _rotated(m: OccupancyMap, rot, cells, pool: int, code):
     q = _quarter_turns(rot)
     if q is None:
         cx, cy, n_free = cells
-        rx, ry = _turned([rot], cx, cy)
+        rad = math.radians(rot % 360.0)
+        cos, sin = math.cos(rad), math.sin(rad)
+        rx, ry = cos * cx - sin * cy, sin * cx + cos * cy
         c = m.cell_cm
         ox, oy = float(rx.min()) - 0.5 * c, float(ry.min()) - 0.5 * c
         # the offsets are at least half a cell, so truncation floors them
-        rows, cols = ((ry[0] - oy) / c).astype(np.intp), ((rx[0] - ox) / c).astype(np.intp)
+        rows, cols = ((ry - oy) / c).astype(np.intp), ((rx - ox) / c).astype(np.intp)
         frame = (ox, oy), (int(rows.max()) + 1, int(cols.max()) + 1)
     else:
         r = _rot90_map(m, q)
@@ -281,17 +240,23 @@ def _rotated(m: OccupancyMap, rot, cells, pool: int, code):
     return frame, grid.reshape(h, w)
 
 
+def _code(n_known: int) -> np.ndarray:
+    """Values for UNKNOWN, FREE and OCCUPIED cells: 0, 1 and B, the smallest
+    power of two above ``n_known``."""
+    return np.array([0.0, 1.0, float(1 << n_known.bit_length())])
+
+
 class _Correlator:
     """Exact overlap and match counts of partial grids against one global grid.
 
-    The grids are coded FREE -> 1, OCCUPIED -> B, where B is the smallest
-    power of two above ``n_known``, the number of known cells any partial
-    grid has. Correlating a partial q with the global g then gives, at each
-    placement, X = ff + B·(fo + of) + B²·oo, where ff counts the partial's
-    FREE cells on global FREE cells, fo and of the mixed pairs, and oo the
-    OCCUPIED cells on OCCUPIED ones. All of them together count at most
-    ``n_known`` cells, so each is one base-B digit of X, and match = ff + oo,
-    overlap = ff + fo + of + oo.
+    The grids are coded by ``_code(n_known)``: FREE -> 1, OCCUPIED -> B, where
+    B is the smallest power of two above ``n_known``, the number of known
+    cells any partial grid has. Correlating a partial q with the global g
+    then gives, at each placement, X = ff + B·(fo + of) + B²·oo, where ff
+    counts the partial's FREE cells on global FREE cells, fo and of the mixed
+    pairs, and oo the OCCUPIED cells on OCCUPIED ones. All of them together
+    count at most ``n_known`` cells, so each is one base-B digit of X, and
+    match = ff + oo, overlap = ff + fo + of + oo.
 
     The digits are exact when X is rounded to the right integer. Percival
     (2003) bounds the error of each output of an FFT correlation of L points
@@ -308,9 +273,9 @@ class _Correlator:
 
     def __init__(self, global_grid: np.ndarray, n_free: int, n_occupied: int, shape):
         n_known = n_free + n_occupied
-        big = 1 << n_known.bit_length()
-        self.base = float(big)
-        self.code = np.array([0.0, 1.0, self.base])
+        self.code = _code(n_known)
+        self.base = float(self.code[OCCUPIED])
+        big = int(self.base)
         self.shape, self.global_shape = shape, global_grid.shape
         g_free = int(np.count_nonzero(global_grid == FREE))
         g_occupied = int(np.count_nonzero(global_grid == OCCUPIED))
@@ -378,20 +343,22 @@ def _search(global_grid: np.ndarray, partial: OccupancyMap, rotations, pool: int
     match / overlap over placements with at least ``min_overlap`` overlapping
     cells, -1.0 when there is none, and (ay, ax) is its first index, row-major,
     into the rotation's (H + h - 1, W + w - 1) counts (``_Correlator``).
-    One FFT shape, fitting the largest turned grid, serves every rotation.
+    Each rotation is correlated on the smallest 2·3·5-smooth shape that fits
+    its own turned grid; a correlator is rebuilt only when that shape changes.
     """
     if not rotations or not partial.known_count():
         return
     if pool > 1:
         global_grid = _pool(global_grid)
     gh, gw = global_grid.shape
-    h, w = _largest_turn(partial, rotations, pool)
-    shape = (_smooth_size(gh + h - 1), _smooth_size(gw + w - 1))
     cells = _known_cells(partial)
-    n_free = cells[2]
-    counts = _Correlator(global_grid, n_free, len(cells[0]) - n_free, shape)
+    n_free, n_occupied = cells[2], len(cells[0]) - cells[2]
+    code, counts = _code(n_free + n_occupied), None
     for rot in rotations:
-        frame, grid = _rotated(partial, rot, cells, pool, counts.code)
+        frame, grid = _rotated(partial, rot, cells, pool, code)
+        shape = (_smooth_size(gh + grid.shape[0] - 1), _smooth_size(gw + grid.shape[1] - 1))
+        if counts is None or counts.shape != shape:
+            counts = _Correlator(global_grid, n_free, n_occupied, shape)
         overlap, match = counts(grid)
         invalid = overlap < min_overlap
         scores = np.divide(match, np.maximum(overlap, 1, out=overlap), out=match)

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import label_components
 from .raster import Raster, _whole_in_range, blurred_gray, sobel_magnitude
 
 
@@ -233,28 +232,23 @@ def _distance_to_outside(region: np.ndarray) -> np.ndarray:
     return dist
 
 
-def _derive_markers(gray: Raster, dist_frac: float):
-    """Seed regions from the cores (distance-transform peaks) of the Otsu split.
+def _derive_markers(gray: Raster, dist_frac: float) -> LabelMask:
+    """Seed regions from the cores (distance-transform peaks) of the Otsu split:
+    label 1 on the core of the at/above-threshold side, label 2 on the other's.
 
-    Returns the marker mask plus, per marker label, which side of the split it
-    came from (0 = below threshold, 1 = at/above), so basins can be folded back
-    into the two classes after flooding.
+    The flood gives each pixel the smallest label among its labeled
+    neighbors, and its order depends only on the heights and on which
+    neighbors are labeled. So flooding from these two seeds gives each pixel
+    the side of the core component it would have reached from seeds numbered
+    per component, at/above side first.
     """
     t = otsu_threshold(gray).threshold
     fg = gray.pixels >= t
     seeds = np.zeros(gray.pixels.shape, dtype=np.int32)
-    label_class = [0]
-    next_label = 1
-    for cls, region in ((1, fg), (0, ~fg)):
-        if not region.any():
-            continue
+    for label, region in ((1, fg), (2, ~fg)):
         dist = _distance_to_outside(region)
-        core = region & (dist >= dist_frac * dist.max())
-        comp_labels, n = label_components(core, connectivity=8)
-        seeds[comp_labels >= 0] = comp_labels[comp_labels >= 0] + next_label
-        label_class.extend([cls] * n)
-        next_label += n
-    return LabelMask(seeds, num_labels=next_label), np.asarray(label_class, dtype=np.int32)
+        seeds[region & (dist >= dist_frac * dist.max())] = label
+    return LabelMask(seeds, num_labels=3)
 
 
 def segment_floor(img: Raster, method: str, cfg: SegmentConfig = SegmentConfig(),
@@ -273,13 +267,9 @@ def segment_floor(img: Raster, method: str, cfg: SegmentConfig = SegmentConfig()
     elif method == "kmeans":
         labels = kmeans_segment(gray, cfg.kmeans_k, cfg.kmeans_max_iter, cfg.kmeans_tol).labels
     elif method == "watershed":
-        label_class = None
         if markers is None:
-            markers, label_class = _derive_markers(gray, cfg.marker_dist_frac)
-        heights = sobel_magnitude(gray)
-        labels = watershed_segment(heights, markers).regions.labels
-        if label_class is not None:
-            labels = label_class[labels]
+            markers = _derive_markers(gray, cfg.marker_dist_frac)
+        labels = watershed_segment(sobel_magnitude(gray), markers).regions.labels
     else:
         raise ValueError(f"unknown segmentation method {method!r}")
 

@@ -9,8 +9,9 @@ rotate each heading alone with ``_rotate_map`` and reuse the package's
 quarter-turn rotation, pooling and overlap threshold; ``per_window_features``
 reuses the block grid, the HOG planes and the bilinear resample of a single
 patch; ``full_search_best_rightward`` picks the lane line from a full-range
-``hough_lines``; and ``list_detect_sequence`` scores and fuses each frame
-with the detector's own stages.
+``hough_lines``; ``list_detect_sequence`` scores and fuses each frame
+with the detector's own stages; and ``component_markers`` splits the image
+at the package's Otsu threshold.
 """
 
 import heapq
@@ -41,7 +42,7 @@ from rovercv.mapping import (
     _smooth_size,
 )
 from rovercv.raster import _resize_bilinear
-from rovercv.segmentation import LabelMask, WatershedResult
+from rovercv.segmentation import LabelMask, WatershedResult, otsu_threshold
 
 _N4 = ((-1, 0), (1, 0), (0, -1), (0, 1))
 _N8 = _N4 + ((-1, -1), (-1, 1), (1, -1), (1, 1))
@@ -374,6 +375,25 @@ def bfs_distance_to_outside(region: np.ndarray) -> np.ndarray:
         frontier = newly
     dist[dist == -1] = 0
     return dist
+
+
+def component_markers(gray, dist_frac: float):
+    """Watershed seeds numbered per 8-connected core component of the Otsu
+    split, the at/above-threshold side's components first, and the side of
+    each label (1 at/above, 0 below; 0 for the unlabeled 0). A core is the
+    side's cells at least ``dist_frac`` times the side's largest distance to
+    the other side."""
+    fg = gray.pixels >= otsu_threshold(gray).threshold
+    seeds = np.zeros(fg.shape, dtype=np.int32)
+    side = [0]
+    for cls, region in ((1, fg), (0, ~fg)):
+        if not region.any():
+            continue
+        dist = bfs_distance_to_outside(region)
+        comp, n = bfs_label_components(region & (dist >= dist_frac * dist.max()))
+        seeds[comp >= 0] = comp[comp >= 0] + len(side)
+        side += [cls] * n
+    return LabelMask(seeds, num_labels=len(side)), np.array(side)
 
 
 def heap_watershed(img, markers: LabelMask) -> WatershedResult:

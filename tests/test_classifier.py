@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,19 @@ class TestTraining:
         with pytest.raises(ValueError, match=r"non-finite feature values in training rows "
                                              r"\[4, 17\]"):
             svm_train(X, y)
+
+    def test_standardizes_without_copying_its_rows(self):
+        # the rows of a 120-patch training set; their standardized copy is the
+        # one array as large as them that training needs
+        X = np.random.default_rng(3).standard_normal((120, 4932))
+        y = np.arange(120) % 2
+        tracemalloc.start()
+        try:
+            svm_train(X, y, epochs=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * X.nbytes, f"{peak / 1e6:.2f} MB for {X.nbytes / 1e6:.2f} MB of rows"
 
     def test_zero_one_labels_accepted(self):
         X, y = separable_blobs(seed=2)

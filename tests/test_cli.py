@@ -281,6 +281,12 @@ def test_json_outputs_refuse_non_finite_numbers():
     ("1,2,3\n0,4\n", "the number of columns changed from 3 to 2 at row 2"),
     ("1,2,3\n0,4,x\n", "could not convert string 'x'"),
     ("1,2,3\n#0,4,5\n", "could not convert string '#0'"),  # '#' starts no comment
+    # both kinds of error name the line the same way: from 1, blank lines counted
+    ("1,2,3\n0,x,4\n", "could not convert string 'x' to float64 at row 2, column 2"),
+    ("1,2,3\n\n0,4\n", "the number of columns changed from 3 to 2 at row 3"),
+    ("\n1,2,3\r\n\r\n0,x,4\r\n", "could not convert string 'x' to float64 at row 4, column 2"),
+    ("x,2,3\n0,4\n", "could not convert string 'x' to float64 at row 1, column 1"),
+    ("1,2,3\n0,,5\n", "could not convert string '' to float64 at row 2, column 2"),
 ])
 def test_train_unreadable_features_name_the_file(tmp_path, capsys, text, what):
     feats, out = tmp_path / "feats.csv", tmp_path / "model.json"

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     best_1d_two_means_split,
     bfs_distance_to_outside,
     brute_otsu,
+    component_markers,
     heap_watershed,
 )
 from scenes import floor_box_scene, stain_scene
@@ -200,8 +201,52 @@ class TestWatershedMatchesHeapOracle:
     @pytest.mark.parametrize("scene", [floor_box_scene, stain_scene])
     def test_segmentation_fixtures(self, scene):
         gray_img = blurred_gray(scene()[0], SegmentConfig().blur_passes)
-        markers, _ = _derive_markers(gray_img, SegmentConfig().marker_dist_frac)
+        markers = _derive_markers(gray_img, SegmentConfig().marker_dist_frac)
         assert_matches_heap_oracle(sobel_magnitude(gray_img), markers)
+
+
+def component_seeded_floor(img, cfg):
+    """segment_floor's watershed mask, flooded from seeds numbered per core
+    component (``component_markers``) and folded back to the two sides."""
+    gray_img = blurred_gray(img, cfg.blur_passes)
+    markers, side = component_markers(gray_img, cfg.marker_dist_frac)
+    labels = side[heap_watershed(sobel_magnitude(gray_img), markers).regions.labels]
+    return (labels != labels[gray_img.height - 1, gray_img.width // 2]).astype(np.int32)
+
+
+class TestSideSeeds:
+    """One seed label per side of the Otsu split floods to the mask that seeds
+    numbered per core component give, once their basins are folded to sides."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 20), st.integers(1, 20), st.sampled_from([2, 3, 16, 256]),
+           st.booleans(), st.integers(0, 2), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    @example(64, 96, 256, True, 1, 0.5, 0)  # RGB noise the size of a ground view
+    @example(12, 16, 2, False, 0, 0.5, 3)  # two-level plateaus, unblurred
+    @example(9, 9, 2, False, 0, 0.0, 5)  # every cell of each side a seed
+    def test_equals_per_component_seeds(self, h, w, levels, rgb, blur_passes, dist_frac, seed):
+        rng = np.random.default_rng(seed)
+        px = rng.integers(0, levels, size=(h, w, 3) if rgb else (h, w)) * (255 // (levels - 1))
+        img = Raster(px.astype(np.uint8))
+        cfg = SegmentConfig(blur_passes=blur_passes, marker_dist_frac=dist_frac)
+        try:
+            want = component_seeded_floor(img, cfg)
+        except ValueError as exc:
+            event(str(exc).split(":")[0])
+            with pytest.raises(ValueError, match=str(exc).split(":")[0]):
+                segment_floor(img, "watershed", cfg)
+            return
+        got = segment_floor(img, "watershed", cfg)
+        assert got.num_labels == 2
+        assert np.array_equal(got.labels, want)
+
+    @pytest.mark.parametrize("scene", [floor_box_scene, stain_scene])
+    @pytest.mark.parametrize("blur_passes", [0, 1, 2])
+    def test_equals_per_component_seeds_on_scenes(self, scene, blur_passes):
+        img = scene()[0]
+        cfg = SegmentConfig(blur_passes=blur_passes)
+        assert np.array_equal(segment_floor(img, "watershed", cfg).labels,
+                              component_seeded_floor(img, cfg))
 
 
 class TestDistanceToOutside:
