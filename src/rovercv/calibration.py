@@ -6,7 +6,7 @@ object of known width follows from its apparent width in pixels.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .geometry import largest_rectangle
@@ -23,12 +23,7 @@ class CameraModel:
     ref_pixels: float
 
     def to_dict(self) -> dict:
-        return {
-            "focal_px": self.focal_px,
-            "ref_length_cm": self.ref_length_cm,
-            "ref_distance_cm": self.ref_distance_cm,
-            "ref_pixels": self.ref_pixels,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "CameraModel":

@@ -13,6 +13,7 @@ import math
 import os
 import sys
 from contextlib import suppress
+from dataclasses import asdict
 from itertools import takewhile
 from pathlib import Path
 
@@ -257,10 +258,6 @@ def _cmd_segment(args):
     yield Path(args.out_json), _json_bytes(sidecar)
 
 
-def _side_dict(side) -> dict:
-    return {"x0": side.x0, "y0": side.y0, "x1": side.x1, "y1": side.y1, "valid": side.valid}
-
-
 def _draw_segment(pixels, side, color):
     """Paint a 3x3 stamp at 2n+1 evenly spaced points of the segment, n being
     its longer extent in px; the stamps are clipped to the frame."""
@@ -280,8 +277,7 @@ def _cmd_lanes(args):
                      edge_threshold=args.edge_threshold, min_votes=args.min_votes,
                      blur_passes=args.blur_passes)
     lane = detect_lane(frame, cfg)
-    yield Path(args.out), _json_bytes({"left": _side_dict(lane.left),
-                                       "right": _side_dict(lane.right)})
+    yield Path(args.out), _json_bytes(asdict(lane))
     if args.out_image:
         annotated = frame.pixels.copy()
         color = np.array([255, 0, 0], dtype=np.uint8) if frame.channels == 3 else np.uint8(255)
@@ -311,8 +307,9 @@ def _cmd_extract(args):
         if label not in ("0", "1"):
             raise ValueError(f"label for {name!r} must be 0 or 1, got {label!r}")
         path = Path(args.patch_dir) / name
+        patch = load_pnm(path)
         try:
-            fv = extract_features(load_pnm(path), cfg)
+            fv = extract_features(patch, cfg)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         layout = fv.layout
@@ -412,9 +409,7 @@ def _cmd_detect(args):
     out_dir = Path(args.out_dir)
     # detect_sequence pulls one frame per result, so ``frame`` is the one just scored
     for path, boxes in zip(frame_paths, detect_sequence(clip(), model, plan, cfg)):
-        record = {"frame": path.stem,
-                  "boxes": [{"x": b.x, "y": b.y, "w": b.w, "h": b.h, "score": b.score}
-                            for b in boxes]}
+        record = {"frame": path.stem, "boxes": [asdict(b) for b in boxes]}
         yield out_dir / f"{path.stem}.json", _json_bytes(record)
         if args.annotate:
             yield out_dir / f"{path.stem}.pnm", write_pnm(draw_boxes(frame, boxes))
@@ -422,7 +417,6 @@ def _cmd_detect(args):
 
 def _cmd_map_build(args):
     replay_path = Path(args.replay_jsonl)
-    base = replay_path.parent
     cfg = ExploreConfig(method=args.method,
                         seg=SegmentConfig(blur_passes=args.blur_passes),
                         patch_width_cm=args.patch_width_cm,
@@ -432,12 +426,19 @@ def _cmd_map_build(args):
     pose = Pose(0.0, 0.0, 0.0)
     lines = replay_path.read_text().strip()
     if not lines:
-        raise ValueError("replay script is empty")
-    for line in lines.splitlines():
-        step = json.loads(line)
-        frame = load_pnm(base / step["frame"])
-        world, pose = explore_step(world, pose, frame,
-                                   float(step["forward_cm"]), float(step["rotate_deg"]), cfg)
+        raise ValueError(f"{replay_path}: replay script is empty")
+    for n, line in enumerate(lines.splitlines(), 1):
+        try:
+            step = json.loads(line)
+            frame_path = replay_path.parent / step["frame"]
+            motion = float(step["forward_cm"]), float(step["rotate_deg"])
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{replay_path}: line {n}: {exc.msg} at column {exc.colno}") from None
+        except KeyError as exc:
+            raise ValueError(f"{replay_path}: line {n}: missing {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{replay_path}: line {n}: {exc}") from None
+        world, pose = explore_step(world, pose, load_pnm(frame_path), *motion, cfg)
     yield Path(args.out), map_to_bytes(world)
 
 
@@ -457,9 +458,7 @@ def _cmd_localize(args):
         result = localize(global_map, partial, cfg)
     except InsufficientContent as exc:
         raise ValueError(f"{args.partial_map}: {exc}") from None
-    record = {"x": result.pose.x, "y": result.pose.y, "theta": result.pose.theta,
-              "score": result.score}
-    yield Path(args.out), _json_bytes(record)
+    yield Path(args.out), _json_bytes({**asdict(result.pose), "score": result.score})
 
 
 def _read_angles_csv(path) -> AngleSeries:

@@ -551,21 +551,21 @@ def _best_rightward(edges: Raster, cfg: LaneConfig):
     return None
 
 
-def _side_from_line(ln, y0: float, y1: float) -> LaneSide:
+def _side(edges: Raster, cfg: LaneConfig, y0: float, y1: float, mirror: bool) -> LaneSide:
+    """The segment from row ``y0`` to row ``y1`` of the best rightward line of
+    ``edges``, or, if ``mirror``, of ``edges`` flipped left to right, with the
+    segment flipped back; an invalid side if there is no such line."""
+    if mirror:
+        edges = Raster(edges.pixels[:, ::-1])
+    ln = _best_rightward(edges, cfg)
+    if ln is None:
+        return LaneSide(0.0, 0.0, 0.0, 0.0, False)
     theta = np.deg2rad(ln.theta_deg)
     c, s = np.cos(theta), np.sin(theta)
-    x_at = lambda y: (ln.rho - y * s) / c
-    return LaneSide(x0=float(x_at(y0)), y0=float(y0), x1=float(x_at(y1)), y1=float(y1), valid=True)
-
-
-def _mirror_side(side: LaneSide, width: int) -> LaneSide:
-    if not side.valid:
-        return side
-    return LaneSide(x0=(width - 1) - side.x0, y0=side.y0,
-                    x1=(width - 1) - side.x1, y1=side.y1, valid=True)
-
-
-_INVALID_SIDE = LaneSide(0.0, 0.0, 0.0, 0.0, False)
+    x0, x1 = (float((ln.rho - y * s) / c) for y in (y0, y1))
+    if mirror:
+        x0, x1 = (edges.width - 1) - x0, (edges.width - 1) - x1
+    return LaneSide(x0=x0, y0=float(y0), x1=x1, y1=float(y1), valid=True)
 
 
 def detect_lane(frame: Raster, cfg: LaneConfig = LaneConfig()) -> Lane:
@@ -577,13 +577,6 @@ def detect_lane(frame: Raster, cfg: LaneConfig = LaneConfig()) -> Lane:
     """
     edges, horizon_y = _lane_edges(frame, cfg)
     y_bottom = float(frame.height - 1)
-
-    right_line = _best_rightward(edges, cfg)
-    right = _side_from_line(right_line, horizon_y, y_bottom) if right_line else _INVALID_SIDE
-
-    mirrored = Raster(edges.pixels[:, ::-1])
-    left_line = _best_rightward(mirrored, cfg)
-    left = (_mirror_side(_side_from_line(left_line, horizon_y, y_bottom), frame.width)
-            if left_line else _INVALID_SIDE)
-
+    right = _side(edges, cfg, horizon_y, y_bottom, mirror=False)
+    left = _side(edges, cfg, horizon_y, y_bottom, mirror=True)
     return Lane(left=left, right=right)

@@ -327,11 +327,11 @@ class _Correlator:
         return [x, high]
 
 
-def _pool(grid: np.ndarray) -> np.ndarray:
-    """Pool _POOL x _POOL blocks (ragged edges padded UNKNOWN): OCCUPIED if any
-    cell is, else FREE if any is. UNKNOWN < FREE < OCCUPIED, so that is a max."""
-    g = np.pad(grid, ((0, -grid.shape[0] % _POOL), (0, -grid.shape[1] % _POOL)))
-    return g.reshape(g.shape[0] // _POOL, _POOL, -1, _POOL).max(axis=(1, 3))
+def _pool(grid: np.ndarray, pool: int) -> np.ndarray:
+    """Pool ``pool`` x ``pool`` blocks (ragged edges padded UNKNOWN): OCCUPIED if
+    any cell is, else FREE if any is. UNKNOWN < FREE < OCCUPIED, so that is a max."""
+    g = np.pad(grid, ((0, -grid.shape[0] % pool), (0, -grid.shape[1] % pool)))
+    return g.reshape(g.shape[0] // pool, pool, -1, pool).max(axis=(1, 3))
 
 
 def _search(global_grid: np.ndarray, partial: OccupancyMap, rotations, pool: int,
@@ -349,7 +349,7 @@ def _search(global_grid: np.ndarray, partial: OccupancyMap, rotations, pool: int
     if not rotations or not partial.known_count():
         return
     if pool > 1:
-        global_grid = _pool(global_grid)
+        global_grid = _pool(global_grid, pool)
     gh, gw = global_grid.shape
     cells = _known_cells(partial)
     n_free, n_occupied = cells[2], len(cells[0]) - cells[2]

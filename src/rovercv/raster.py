@@ -193,7 +193,12 @@ def write_pnm(img: Raster) -> bytes:
 
 
 def load_pnm(path) -> Raster:
-    return read_pnm(Path(path).read_bytes())
+    """Read a binary PNM file; a malformed one raises ValueError naming ``path``."""
+    data = Path(path).read_bytes()
+    try:
+        return read_pnm(data)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_pnm(path, img: Raster):

@@ -668,9 +668,9 @@ def pooled_coarse_localize(global_map: OccupancyMap, partial: OccupancyMap,
     """
     min_overlap = _required_overlap(global_map, partial, cfg)
     coarse = range(0, 360, _COARSE_STEP_DEG)
-    pooled = [_pool(_rotate_map(partial, rot).grid) for rot in coarse]
+    pooled = [_pool(_rotate_map(partial, rot).grid, _POOL) for rot in coarse]
     scores = [score for score, _ in _best_placements(
-        _pool(global_map.grid), pooled, -(-min_overlap // _POOL ** 2))]
+        _pool(global_map.grid, _POOL), pooled, -(-min_overlap // _POOL ** 2))]
     kept = sorted(range(len(coarse)), key=lambda k: (-scores[k], k))[:_KEEP]
     step = _COARSE_STEP_DEG
     fine = sorted({(coarse[k] + d) % 360 for k in kept for d in range(-step, step + 1)})

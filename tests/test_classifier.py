@@ -48,6 +48,18 @@ class TestTraining:
         with pytest.raises(ValueError, match="single-class"):
             svm_train(X, np.ones(len(X)))
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda X, y: (X, y * 2), "labels must be 0/1 or -1/+1"),
+        (lambda X, y: (X, np.where(y > 0, 1, 2)), "labels must be 0/1 or -1/+1"),
+        (lambda X, y: (X[0], y), "training rows must form a 2-D array"),
+        (lambda X, y: (X[:, :, None], y), "training rows must form a 2-D array"),
+        (lambda X, y: (X, y[:-1]), "row/label count mismatch"),
+    ])
+    def test_malformed_training_set_rejected(self, edit, message):
+        with pytest.raises(ValueError) as exc:
+            svm_train(*edit(*separable_blobs()))
+        assert str(exc.value) == message
+
     def test_non_finite_rows_rejected(self):
         X, y = separable_blobs()
         X[[4, 17], [1, 0]] = [np.nan, -np.inf]

@@ -18,9 +18,11 @@ from scenes import (
     write_replay,
 )
 from rovercv.cli import _draw_segment, _json_bytes, _read_features_csv, run
+from rovercv.features import FeatureConfig, extract_features
 from rovercv.geometry import LaneSide
 from rovercv.mapping import OccupancyMap, map_to_bytes
-from rovercv.raster import Raster, load_pnm, save_pnm
+from rovercv.raster import Raster, load_pnm, save_pnm, write_pnm
+from rovercv.segmentation import LabelMask, SegmentConfig, segment_floor
 
 @pytest.fixture()
 def calib_image(tmp_path):
@@ -606,3 +608,150 @@ def test_localize_insufficient_content_names_the_partial_map(tmp_path, capsys):
     assert capsys.readouterr().err == (f"error: {part}: insufficient map content: "
                                        "16 known cells, need 50\n")
     assert not out.exists()
+
+
+_FRAME = write_pnm(Raster(np.zeros((128, 256, 3), dtype=np.uint8)))
+_MODEL = json.dumps({"weights": [0.0], "bias": 0.0, "feat_mean": [0.0], "feat_std": [1.0],
+                     "lambda": 1e-4, "epochs": 1, "seed": 0})
+_DETECT = ["--config", "{d}/cfg.json", "detect", "{d}/frames", "{d}/model.json",
+           "--out-dir", "{o}/detections"]
+_MAP_BUILD = ["map-build", "{d}/replay.jsonl", "--out", "{o}/map.rmap"]
+_SEGMENT = ["segment", "{d}/scene.pnm", "--method", "watershed", "--markers", "{d}/seeds.pnm",
+            "--out-mask", "{o}/mask.pnm", "--out-json", "{o}/mask.json"]
+_SMOOTH = ["smooth", "{d}/angles.csv", "--out", "{o}/smoothed.csv"]
+_MARKER_ERROR = "error: marker image must be P5 with the same dimensions as the input"
+
+
+def _bands(*bands):
+    return {"cfg.json": json.dumps({"bands": list(bands)}), "frames/000000.pnm": _FRAME,
+            "model.json": _MODEL}
+
+
+@pytest.mark.parametrize("files, argv, code, first_line", [
+    ({"labels.csv": ""}, ["extract", "{d}", "{d}/labels.csv", "--out", "{o}/f.csv"],
+     1, "error: labels CSV is empty"),
+    ({"labels.csv": "a.pnm,2\n"}, ["extract", "{d}", "{d}/labels.csv", "--out", "{o}/f.csv"],
+     1, "error: label for 'a.pnm' must be 0 or 1, got '2'"),
+    ({"replay.jsonl": "\n"}, _MAP_BUILD, 1, "error: {d}/replay.jsonl: replay script is empty"),
+    ({"f.pnm": write_pnm(corridor_frame()),
+      "replay.jsonl": '{"frame": "f.pnm", "forward_cm": 20, "rotate_deg": 0}\n{"frame": \n'},
+     _MAP_BUILD, 1, "error: {d}/replay.jsonl: line 2: Expecting value at column 10"),
+    ({"replay.jsonl": '{"forward_cm": 20, "rotate_deg": 0}\n'},
+     _MAP_BUILD, 1, "error: {d}/replay.jsonl: line 1: missing 'frame'"),
+    ({"replay.jsonl": '{"frame": "f.pnm", "forward_cm": "far", "rotate_deg": 0}\n'},
+     _MAP_BUILD, 1, "error: {d}/replay.jsonl: line 1: could not convert string to float: 'far'"),
+    ({"replay.jsonl": "[1, 2]\n"}, _MAP_BUILD,
+     1, "error: {d}/replay.jsonl: line 1: list indices must be integers or slices, not str"),
+    ({"angles.csv": "f0,3.0\n"}, _SMOOTH,
+     1, "error: angles CSV must start with header 'frame_id,angle_deg'"),
+    ({}, ["--config", "{d}/none.json", *_SMOOTH],
+     2, "config error: [Errno 2] No such file or directory: '{d}/none.json'"),
+    ({"cfg.json": "{"}, ["--config", "{d}/cfg.json", *_SMOOTH],
+     2, "config error: Expecting property name enclosed in double quotes: "
+        "line 1 column 2 (char 1)"),
+    ({"cfg.json": "[1]"}, ["--config", "{d}/cfg.json", *_SMOOTH],
+     2, "config error: expected a JSON object"),
+    (_bands({"y_top": 32}), _DETECT, 2, "config error: bad bands configuration: 'y_bottom'"),
+    ({**_bands(), "cfg.json": '{"bands": 5}'}, _DETECT,
+     2, "config error: bad bands configuration: 'int' object is not iterable"),
+    (_bands({"y_top": 32, "y_bottom": 300, "window_px": 64, "stride_px": 16}), _DETECT,
+     2, "config error: band BandConfig(y_top=32, y_bottom=300, window_px=64, stride_px=16) "
+        "lies outside the 256x128 frame"),
+    ({"scene.pnm": write_pnm(corridor_frame()), "seeds.pnm": write_pnm(corridor_frame(w=48))},
+     _SEGMENT, 1, _MARKER_ERROR),
+    ({"scene.pnm": write_pnm(corridor_frame()),
+      "seeds.pnm": write_pnm(Raster(np.zeros((48, 64, 3), dtype=np.uint8)))},
+     _SEGMENT, 1, _MARKER_ERROR),
+], ids=["empty-labels", "label-2", "empty-replay", "replay-json", "replay-no-frame",
+        "replay-motion", "replay-list", "angles-header", "config-missing", "config-json", "config-list",
+        "bands-key", "bands-int", "bands-outside", "markers-size", "markers-p6"])
+def test_bad_input_exits_without_output(tmp_path, capsys, files, argv, code, first_line):
+    d, o = tmp_path / "in", tmp_path / "out"
+    for name, data in files.items():
+        (d / name).parent.mkdir(parents=True, exist_ok=True)
+        (d / name).write_bytes(data.encode() if isinstance(data, str) else data)
+    assert run([a.format(d=d, o=o) for a in argv]) == code
+    assert capsys.readouterr().err.splitlines()[0] == first_line.format(d=d)
+    assert not o.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["calibrate", "{bad}", "--distance-cm", "70", "--length-cm", "20", "--out", "{o}/cam.json"],
+    ["segment", "{bad}", "--out-mask", "{o}/mask.pnm", "--out-json", "{o}/mask.json"],
+    ["segment", "{d}/good.pnm", "--method", "watershed", "--markers", "{bad}",
+     "--out-mask", "{o}/mask.pnm", "--out-json", "{o}/mask.json"],
+    ["lanes", "{bad}", "--out", "{o}/lane.json"],
+    ["extract", "{d}/frames", "{d}/labels.csv", "--out", "{o}/features.csv"],
+    ["detect", "{d}/frames", "{d}/model.json", "--out-dir", "{o}/detections"],
+    ["map-build", "{d}/frames/replay.jsonl", "--out", "{o}/map.rmap"],
+], ids=["calibrate", "segment", "segment-markers", "lanes", "extract", "detect", "map-build"])
+def test_truncated_pnm_named_by_every_command(tmp_path, capsys, argv):
+    d, o = tmp_path / "in", tmp_path / "out"
+    (d / "frames").mkdir(parents=True)
+    bad = d / "frames" / "000000.pnm"
+    bad.write_bytes(b"P6\n64 64\n255\n" + bytes(100))
+    save_pnm(d / "good.pnm", Raster(np.zeros((64, 64), dtype=np.uint8)))
+    (d / "labels.csv").write_text("000000.pnm,1\n")
+    (d / "model.json").write_text(_MODEL)
+    (d / "frames" / "replay.jsonl").write_text(
+        '{"frame": "000000.pnm", "forward_cm": 20, "rotate_deg": 0}\n')
+    assert run([a.format(d=d, o=o, bad=bad) for a in argv]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: truncated payload: expected "
+                                              "12288 bytes, got 100\n")
+    assert not o.exists()
+
+
+def test_segment_markers_give_the_library_mask(tmp_path):
+    scene, _ = floor_box_scene()
+    seeds = np.zeros(scene.pixels.shape[:2], dtype=np.uint8)
+    seeds[-3:, :] = 1
+    seeds[:3, :] = 2
+    save_pnm(tmp_path / "scene.pnm", scene)
+    save_pnm(tmp_path / "seeds.pnm", Raster(seeds))
+    mask_path = tmp_path / "mask.pnm"
+    assert run(["segment", str(tmp_path / "scene.pnm"), "--method", "watershed",
+                "--markers", str(tmp_path / "seeds.pnm"), "--out-mask", str(mask_path),
+                "--out-json", str(tmp_path / "mask.json")]) == 0
+    want = segment_floor(scene, "watershed", SegmentConfig(),
+                         markers=LabelMask(seeds.astype(np.int32), num_labels=3))
+    assert np.array_equal(load_pnm(mask_path).pixels, want.labels * 255)
+
+
+def test_record_formats_are_pinned(tmp_path, calib_image):
+    """The key sets of the JSON records, which follow their dataclasses."""
+    side = {"x0", "y0", "x1", "y1", "valid"}
+    road, _ = road_frame()
+    save_pnm(tmp_path / "road.pnm", road)
+    assert run(["lanes", str(tmp_path / "road.pnm"), "--out", str(tmp_path / "lane.json")]) == 0
+    lane = json.loads((tmp_path / "lane.json").read_text())
+    assert set(lane) == {"left", "right"} and set(lane["left"]) == set(lane["right"]) == side
+
+    assert run(["calibrate", str(calib_image), "--distance-cm", "70", "--length-cm", "20",
+                "--out", str(tmp_path / "camera.json")]) == 0
+    camera = json.loads((tmp_path / "camera.json").read_text())
+    assert set(camera) == {"focal_px", "ref_length_cm", "ref_distance_cm", "ref_pixels"}
+
+    # a model that scores every window 1.0, so the frame has boxes
+    dim = extract_features(car_patch(np.random.default_rng(0)), FeatureConfig()).values.size
+    model = {"weights": [0.0] * dim, "bias": 1.0, "feat_mean": [0.0] * dim,
+             "feat_std": [1.0] * dim, "lambda": 1e-4, "epochs": 1, "seed": 0}
+    (tmp_path / "model.json").write_text(json.dumps(model))
+    (tmp_path / "frames").mkdir()
+    (tmp_path / "frames" / "000000.pnm").write_bytes(_FRAME)
+    (tmp_path / "cfg.json").write_text(json.dumps({"bands": [
+        {"y_top": 32, "y_bottom": 96, "window_px": 64, "stride_px": 16}]}))
+    assert run(["--config", str(tmp_path / "cfg.json"), "detect", str(tmp_path / "frames"),
+                str(tmp_path / "model.json"), "--out-dir", str(tmp_path / "detections")]) == 0
+    record = json.loads((tmp_path / "detections" / "000000.json").read_text())
+    assert set(record) == {"frame", "boxes"} and record["boxes"]
+    assert all(set(box) == {"x", "y", "w", "h", "score"} for box in record["boxes"])
+
+    rng = np.random.default_rng(5)
+    world = OccupancyMap(cell_cm=2.0, origin=(0.0, 0.0),
+                         grid=rng.integers(1, 3, (30, 30)).astype(np.uint8))
+    part = OccupancyMap(cell_cm=2.0, origin=(0.0, 0.0), grid=world.grid[5:25, 8:28].copy())
+    (tmp_path / "world.rmap").write_bytes(map_to_bytes(world))
+    (tmp_path / "part.rmap").write_bytes(map_to_bytes(part))
+    assert run(["localize", str(tmp_path / "world.rmap"), str(tmp_path / "part.rmap"),
+                "--out", str(tmp_path / "pose.json")]) == 0
+    assert set(json.loads((tmp_path / "pose.json").read_text())) == {"x", "y", "theta", "score"}

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import _fft_xcorr, _rotate_map, per_rotation_localize, pooled_coarse_localize
+from oracles import (
+    _best_placements,
+    _fft_xcorr,
+    _rotate_map,
+    per_rotation_localize,
+    pooled_coarse_localize,
+)
 from scenes import corridor_frame
 from rovercv import mapping
 from rovercv.mapping import (
@@ -25,6 +31,7 @@ from rovercv.mapping import (
     _pool,
     _rot90_map,
     _rotated,
+    _search,
     _smooth_size,
     advance_pose,
     explore_step,
@@ -370,7 +377,7 @@ class TestSharedSpectraSearch:
         grid = np.array([[UNKNOWN, FREE, UNKNOWN],
                          [OCCUPIED, UNKNOWN, UNKNOWN],
                          [FREE, UNKNOWN, UNKNOWN]], dtype=np.uint8)
-        assert _pool(grid).tolist() == [[OCCUPIED, UNKNOWN], [FREE, UNKNOWN]]
+        assert _pool(grid, 2).tolist() == [[OCCUPIED, UNKNOWN], [FREE, UNKNOWN]]
 
     def test_min_overlap_above_global_known_count(self):
         # 225 partial cells must overlap, but the global map has only 144
@@ -425,7 +432,7 @@ class TestSharedSpectraSearch:
         assert np.array_equal(match, want_match)
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.sampled_from((1, 2)),
+    @given(st.integers(0, 2**32 - 1), st.sampled_from((1, 2, 3)),
            st.lists(st.integers(0, 359) | st.sampled_from((0, 90, 180, 270)),
                     min_size=1, max_size=8))
     def test_rotated_equals_each_rotation_alone(self, seed, pool, rotations):
@@ -435,8 +442,23 @@ class TestSharedSpectraSearch:
             frame, grid = _rotated(m, rot, _known_cells(m), pool, code)
             r = _rotate_map(m, rot)
             assert frame == (r.origin, r.grid.shape)
-            want = code[_pool(r.grid) if pool > 1 else r.grid][::-1, ::-1]
+            want = code[_pool(r.grid, pool)][::-1, ::-1]
             assert np.array_equal(grid, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1),
+           st.lists(st.integers(0, 359) | st.sampled_from((0, 90, 180, 270)),
+                    min_size=1, max_size=6))
+    def test_search_pools_both_grids_by_its_factor(self, seed, rotations):
+        rng = np.random.default_rng(seed)
+        m = random_partial(rng)
+        g = tri_state(rng, tuple(rng.integers(1, 60, 2)), rng.uniform(0.3, 1.0),
+                      rng.uniform(0.0, 0.6))
+        min_overlap = int(rng.integers(1, 6))
+        got = [(score, at if score >= 0 else None)
+               for _, score, at in _search(g, m, rotations, 3, min_overlap)]
+        pooled = [_pool(_rotate_map(m, rot).grid, 3) for rot in rotations]
+        assert got == list(_best_placements(_pool(g, 3), pooled, min_overlap))
 
     @settings(max_examples=100, deadline=None)
     @given(localize_cases())
@@ -547,6 +569,19 @@ class TestSerialization:
     def test_cell_size_must_be_positive_and_finite(self, cell_cm):
         with pytest.raises(ValueError, match="cell size must be positive and finite"):
             OccupancyMap(cell_cm=cell_cm, origin=(0.0, 0.0), grid=np.zeros((2, 2), np.uint8))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda data: data[:data.index(b"\n")], "malformed map file: missing header line"),
+        (lambda data: b"cell_cm=2" + data[data.index(b"\n"):],
+         "malformed map header: Expecting value: line 1 column 1 (char 0)"),
+        (lambda data: data.replace(b'"width": 8', b'"width": 9', 1),
+         "map header dimensions do not match the grid body"),
+    ])
+    def test_malformed_file_rejected(self, edit, message):
+        data = map_to_bytes(make_global_map(seed=5, size=8))
+        with pytest.raises(ValueError) as exc:
+            map_from_bytes(edit(data))
+        assert str(exc.value) == message
 
     def test_bad_cell_value_rejected(self):
         data = map_to_bytes(make_global_map(seed=5, size=8))

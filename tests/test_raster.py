@@ -175,6 +175,20 @@ class TestPnm:
         with pytest.raises(ValueError, match="truncated payload"):
             read_pnm(b"P6\n2 2\n255\n" + bytes(5))
 
+    @pytest.mark.parametrize("data, message", [
+        (b"P5\n2 2", "malformed header: unexpected end of data"),
+        (b"P5 # 2 2 255\n", "malformed header: unexpected end of data"),
+        (b"P5\n2 x\n255\n" + bytes(4), "malformed header: non-numeric field b'x'"),
+        (b"P5\n0 2\n255\n", "malformed header: non-positive dimensions"),
+        (b"P5\n2 -1\n255\n", "malformed header: non-positive dimensions"),
+        (b"P5\n2 2\n255", "malformed header: missing whitespace before payload"),
+        (b"P5\n2 2\n255#" + bytes(4), "malformed header: missing whitespace before payload"),
+    ])
+    def test_malformed_header(self, data, message):
+        with pytest.raises(ValueError) as exc:
+            read_pnm(data)
+        assert str(exc.value) == message
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 6), st.booleans(), st.integers(0, 2**32 - 1))
     def test_round_trip_property(self, w, h, color, seed):
