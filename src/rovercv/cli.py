@@ -14,7 +14,7 @@ import os
 import sys
 from contextlib import suppress
 from dataclasses import asdict
-from itertools import takewhile
+from itertools import chain, takewhile
 from pathlib import Path
 
 import numpy as np
@@ -236,17 +236,16 @@ def _cmd_calibrate(args):
 def _load_markers(path, shape):
     seeds = load_pnm(path)
     if seeds.channels != 1 or seeds.pixels.shape != shape:
-        raise ValueError("marker image must be P5 with the same dimensions as the input")
+        raise ValueError(f"{path}: marker image must be P5 with the same dimensions as the input")
     return LabelMask(seeds.pixels.astype(np.int32), num_labels=int(seeds.pixels.max()) + 1)
 
 
 def _cmd_segment(args):
+    if args.markers and args.method != "watershed":
+        raise UsageError("--markers needs --method watershed")
     img = load_pnm(args.image)
     cfg = SegmentConfig(blur_passes=args.blur_passes, kmeans_k=args.k)
-    markers = None
-    if args.markers:
-        gray_shape = img.pixels.shape[:2]
-        markers = _load_markers(args.markers, gray_shape)
+    markers = _load_markers(args.markers, img.pixels.shape[:2]) if args.markers else None
     mask = segment_floor(img, args.method, cfg, markers=markers)
     out_mask = Raster((mask.labels * 255 // max(mask.num_labels - 1, 1)).astype(np.uint8))
     sidecar = {
@@ -298,14 +297,13 @@ def _cmd_extract(args):
     """One features.csv row per patch, each appended to the output as soon as it
     is formatted, so the text is held once."""
     cfg = _feature_config(args)
-    labels_text = Path(args.labels_csv).read_text().strip()
-    if not labels_text:
-        raise ValueError("labels CSV is empty")
     out, layout = bytearray(), None
-    for line in labels_text.splitlines():
-        name, _, label = line.strip().partition(",")
+    # read whole, so the file and its buffers are gone before the output grows
+    for n, text in list(_lines(args.labels_csv)):
+        name, _, label = text.strip().partition(",")
         if label not in ("0", "1"):
-            raise ValueError(f"label for {name!r} must be 0 or 1, got {label!r}")
+            raise ValueError(f"{args.labels_csv}: line {n}: label for {name!r} must be 0 or 1, "
+                             f"got {label!r}")
         path = Path(args.patch_dir) / name
         patch = load_pnm(path)
         try:
@@ -314,23 +312,49 @@ def _cmd_extract(args):
             raise ValueError(f"{path}: {exc}") from None
         layout = fv.layout
         out += (label + "," + ",".join(map(repr, fv.values.tolist())) + "\n").encode("ascii")
+    if layout is None:
+        raise ValueError(f"{args.labels_csv}: labels CSV is empty")
     yield Path(args.out), out
     layout_path = args.layout_json or str(Path(args.out).with_suffix(".layout.json"))
     yield Path(layout_path), _json_bytes({k: list(v) for k, v in layout.items()})
 
 
+def _lines(path):
+    """(n, text) for each line of the text file at ``path`` that is not blank: n
+    counts lines from 1, blank ones included, and text is the line without its
+    end. Bytes that are not UTF-8 pass through, for the line's parser to reject."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+        for n, line in enumerate(f, 1):
+            if not line.isspace():
+                yield n, line.rstrip("\n")
+
+
 def _read_features_csv(path) -> tuple:
-    """(X, labels) from features.csv, parsed by numpy's C reader. Blank lines are
-    skipped; a ``#`` is data, so a row that starts with one fails."""
-    # loadtxt warns on an empty file and fails on whitespace alone, so read up
-    # to the first byte of text first
-    with open(path, "rb") as f:
-        if not any(chunk.strip() for chunk in iter(lambda: f.read(1 << 16), b"")):
-            raise ValueError("features CSV is empty")
+    """(X, labels) from features.csv, parsed in one pass by one numpy call that grows
+    the array as it reads: numpy marks an array made whole (4 MiB or more) for huge
+    pages, which a host may lack. A ``#`` is data, so a row that starts with one fails."""
+    lines = _lines(path)
+    line = next(lines, None)
+    if line is None:
+        raise ValueError(f"{path}: features CSV is empty")
+    width = line[1].count(",") + 1
+
+    def texts():
+        nonlocal line
+        for line in chain([line], lines):
+            yield line[1]
+
     try:
-        data = np.loadtxt(path, delimiter=",", comments=None, ndmin=2)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {_bad_csv_row(path) or exc}") from None
+        data = np.loadtxt(texts(), delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        # numpy parses each line before it takes the next, so the last one taken failed
+        n, fields = line[0], line[1].split(",")
+        if len(fields) != width:
+            raise ValueError(f"{path}: line {n}: the number of columns changed from "
+                             f"{width} to {len(fields)}") from None
+        col, field = next((j, v) for j, v in enumerate(fields, 1) if not _parses(v))
+        raise ValueError(f"{path}: line {n}: could not convert string {field!r} to "
+                         f"float64 at column {col}") from None
     return data[:, 1:], data[:, 0]
 
 
@@ -340,31 +364,6 @@ def _parses(text: str) -> bool:
         return bool(text) and len(np.loadtxt([text], delimiter=",", comments=None, ndmin=2)) == 1
     except ValueError:
         return False
-
-
-def _bad_csv_row(path):
-    """Why numpy's reader rejects the CSV at ``path``, naming the first line at
-    fault as row N, counted from 1 with blank lines counted; None if no line is.
-
-    numpy's own row numbers skip blank lines and count from 1 when a row's
-    width changes but from 0 when a field does not parse. So on an error the
-    file is read again one line at a time, numpy parsing each, and one field
-    at a time on the line that fails.
-    """
-    width = None
-    with open(path, encoding="latin-1", newline="\n") as f:
-        for row, line in enumerate(f, 1):
-            fields = line.rstrip("\r\n").split(",")
-            if fields == [""]:
-                continue
-            if width is None:
-                width = len(fields)
-            elif len(fields) != width:
-                return f"the number of columns changed from {width} to {len(fields)} at row {row}"
-            if not _parses(line):
-                col, field = next((j, v) for j, v in enumerate(fields, 1) if not _parses(v))
-                return f"could not convert string {field!r} to float64 at row {row}, column {col}"
-    return None
 
 
 def _cmd_train(args):
@@ -388,7 +387,7 @@ def _cmd_detect(args):
     if not frame_paths:
         raise ValueError(f"no .pnm frames found in {args.frame_dir}")
     frame = load_pnm(frame_paths[0])
-    model = model_from_dict(json.loads(Path(args.model_json).read_text()))
+    model = _read(args.model_json, lambda data: model_from_dict(json.loads(data)))
     bands = _bands_from_config(args.bands) if args.bands else DEFAULT_BANDS
     try:
         plan = plan_windows(frame.width, frame.height, bands)
@@ -423,11 +422,8 @@ def _cmd_map_build(args):
                         patch_depth_cm=args.patch_depth_cm,
                         patch_offset_cm=args.patch_offset_cm)
     world = OccupancyMap.empty(args.cell_cm)
-    pose = Pose(0.0, 0.0, 0.0)
-    lines = replay_path.read_text().strip()
-    if not lines:
-        raise ValueError(f"{replay_path}: replay script is empty")
-    for n, line in enumerate(lines.splitlines(), 1):
+    pose, step = Pose(0.0, 0.0, 0.0), None
+    for n, line in _lines(replay_path):
         try:
             step = json.loads(line)
             frame_path = replay_path.parent / step["frame"]
@@ -439,19 +435,24 @@ def _cmd_map_build(args):
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{replay_path}: line {n}: {exc}") from None
         world, pose = explore_step(world, pose, load_pnm(frame_path), *motion, cfg)
+    if step is None:
+        raise ValueError(f"{replay_path}: replay script is empty")
     yield Path(args.out), map_to_bytes(world)
 
 
-def _read_map(path) -> OccupancyMap:
+def _read(path, parse):
+    """``parse`` of the bytes of the file at ``path``, with the path named in its errors."""
     try:
-        return map_from_bytes(Path(path).read_bytes())
-    except ValueError as exc:
+        return parse(Path(path).read_bytes())
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing {exc}") from None
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
 def _cmd_localize(args):
-    global_map = _read_map(args.global_map)
-    partial = _read_map(args.partial_map)
+    global_map = _read(args.global_map, map_from_bytes)
+    partial = _read(args.partial_map, map_from_bytes)
     cfg = LocalizeConfig(min_known=args.min_known, min_score=args.localize_min_score,
                          min_overlap_frac=args.min_overlap_frac)
     try:
@@ -462,14 +463,17 @@ def _cmd_localize(args):
 
 
 def _read_angles_csv(path) -> AngleSeries:
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines or lines[0].strip() != "frame_id,angle_deg":
-        raise ValueError("angles CSV must start with header 'frame_id,angle_deg'")
+    lines = _lines(path)
+    if next(lines, (0, ""))[1].strip() != "frame_id,angle_deg":
+        raise ValueError(f"{path}: angles CSV must start with header 'frame_id,angle_deg'")
     ids, angles = [], []
-    for line in lines[1:]:
-        frame_id, _, angle = line.strip().partition(",")
+    for n, text in lines:
+        frame_id, _, angle = text.strip().partition(",")
+        try:
+            angles.append(float(angle))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {n}: {exc}") from None
         ids.append(frame_id)
-        angles.append(float(angle))
     return AngleSeries(np.asarray(angles), tuple(ids))
 
 

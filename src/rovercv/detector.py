@@ -147,7 +147,10 @@ def _band_features(frame: Raster, plan: WindowPlan):
 def detect_cars(frame: Raster, model: LinearModel, plan: WindowPlan,
                 cfg: DetectorConfig = DetectorConfig()) -> list:
     """Score every planned window, one band's descriptor matrix at a time; keep
-    those above cfg.min_score, in plan order."""
+    those above cfg.min_score, in plan order. The frame must have the plan's size."""
+    if (frame.width, frame.height) != (plan.frame_w, plan.frame_h):
+        raise ValueError(f"frame is {frame.width}x{frame.height}, but the window plan is "
+                         f"for {plan.frame_w}x{plan.frame_h}")
     windows = iter_windows(plan)
     dets = []
     for rows in _band_features(frame, plan):

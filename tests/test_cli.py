@@ -17,7 +17,7 @@ from scenes import (
     road_frame,
     write_replay,
 )
-from rovercv.cli import _draw_segment, _json_bytes, _read_features_csv, run
+from rovercv.cli import _draw_segment, _json_bytes, _lines, _read_features_csv, run
 from rovercv.features import FeatureConfig, extract_features
 from rovercv.geometry import LaneSide
 from rovercv.mapping import OccupancyMap, map_to_bytes
@@ -279,23 +279,23 @@ def test_json_outputs_refuse_non_finite_numbers():
             _json_bytes({"bias": value})
 
 
-@pytest.mark.parametrize("text, what", [
-    ("1,2,3\n0,4\n", "the number of columns changed from 3 to 2 at row 2"),
-    ("1,2,3\n0,4,x\n", "could not convert string 'x'"),
-    ("1,2,3\n#0,4,5\n", "could not convert string '#0'"),  # '#' starts no comment
+@pytest.mark.parametrize("text, what, n", [
+    ("1,2,3\n0,4\n", "the number of columns changed from 3 to 2", 2),
+    ("1,2,3\n0,4,x\n", "could not convert string 'x' to float64 at column 3", 2),
+    # '#' starts no comment
+    ("1,2,3\n#0,4,5\n", "could not convert string '#0' to float64 at column 1", 2),
     # both kinds of error name the line the same way: from 1, blank lines counted
-    ("1,2,3\n0,x,4\n", "could not convert string 'x' to float64 at row 2, column 2"),
-    ("1,2,3\n\n0,4\n", "the number of columns changed from 3 to 2 at row 3"),
-    ("\n1,2,3\r\n\r\n0,x,4\r\n", "could not convert string 'x' to float64 at row 4, column 2"),
-    ("x,2,3\n0,4\n", "could not convert string 'x' to float64 at row 1, column 1"),
-    ("1,2,3\n0,,5\n", "could not convert string '' to float64 at row 2, column 2"),
+    ("1,2,3\n0,x,4\n", "could not convert string 'x' to float64 at column 2", 2),
+    ("1,2,3\n\n0,4\n", "the number of columns changed from 3 to 2", 3),
+    ("\n1,2,3\r\n\r\n0,x,4\r\n", "could not convert string 'x' to float64 at column 2", 4),
+    ("x,2,3\n0,4\n", "could not convert string 'x' to float64 at column 1", 1),
+    ("1,2,3\n0,,5\n", "could not convert string '' to float64 at column 2", 2),
 ])
-def test_train_unreadable_features_name_the_file(tmp_path, capsys, text, what):
+def test_train_unreadable_features_name_the_file(tmp_path, capfd, text, what, n):
     feats, out = tmp_path / "feats.csv", tmp_path / "model.json"
     feats.write_text(text)
     assert run(["train", str(feats), "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {feats}: ") and what in err
+    assert capfd.readouterr().err == f"error: {feats}: line {n}: {what}\n"  # and no numpy warning
     assert not out.exists()
 
 
@@ -304,7 +304,7 @@ def test_train_empty_features_exit_one(tmp_path, capfd, text):
     feats, out = tmp_path / "feats.csv", tmp_path / "model.json"
     feats.write_text(text)
     assert run(["train", str(feats), "--out", str(out)]) == 1
-    assert capfd.readouterr().err == "error: features CSV is empty\n"  # and no numpy warning
+    assert capfd.readouterr().err == f"error: {feats}: features CSV is empty\n"  # no numpy warning
     assert not out.exists()
 
 
@@ -619,7 +619,11 @@ _MAP_BUILD = ["map-build", "{d}/replay.jsonl", "--out", "{o}/map.rmap"]
 _SEGMENT = ["segment", "{d}/scene.pnm", "--method", "watershed", "--markers", "{d}/seeds.pnm",
             "--out-mask", "{o}/mask.pnm", "--out-json", "{o}/mask.json"]
 _SMOOTH = ["smooth", "{d}/angles.csv", "--out", "{o}/smoothed.csv"]
-_MARKER_ERROR = "error: marker image must be P5 with the same dimensions as the input"
+_EXTRACT = ["extract", "{d}", "{d}/labels.csv", "--out", "{o}/f.csv"]
+_TRAIN = ["train", "{d}/features.csv", "--out", "{o}/model.json"]
+_STEP = '{"frame": "f.pnm", "forward_cm": 20, "rotate_deg": 0}'
+_MARKER_ERROR = ("error: {d}/seeds.pnm: marker image must be P5 with the same dimensions "
+                 "as the input")
 
 
 def _bands(*bands):
@@ -628,14 +632,13 @@ def _bands(*bands):
 
 
 @pytest.mark.parametrize("files, argv, code, first_line", [
-    ({"labels.csv": ""}, ["extract", "{d}", "{d}/labels.csv", "--out", "{o}/f.csv"],
-     1, "error: labels CSV is empty"),
-    ({"labels.csv": "a.pnm,2\n"}, ["extract", "{d}", "{d}/labels.csv", "--out", "{o}/f.csv"],
-     1, "error: label for 'a.pnm' must be 0 or 1, got '2'"),
+    ({"labels.csv": ""}, _EXTRACT, 1, "error: {d}/labels.csv: labels CSV is empty"),
+    ({"labels.csv": "a.pnm,2\n"}, _EXTRACT,
+     1, "error: {d}/labels.csv: line 1: label for 'a.pnm' must be 0 or 1, got '2'"),
     ({"replay.jsonl": "\n"}, _MAP_BUILD, 1, "error: {d}/replay.jsonl: replay script is empty"),
-    ({"f.pnm": write_pnm(corridor_frame()),
-      "replay.jsonl": '{"frame": "f.pnm", "forward_cm": 20, "rotate_deg": 0}\n{"frame": \n'},
-     _MAP_BUILD, 1, "error: {d}/replay.jsonl: line 2: Expecting value at column 10"),
+    # the line keeps its trailing space, so the value is missing at column 11
+    ({"f.pnm": write_pnm(corridor_frame()), "replay.jsonl": _STEP + '\n{"frame": \n'},
+     _MAP_BUILD, 1, "error: {d}/replay.jsonl: line 2: Expecting value at column 11"),
     ({"replay.jsonl": '{"forward_cm": 20, "rotate_deg": 0}\n'},
      _MAP_BUILD, 1, "error: {d}/replay.jsonl: line 1: missing 'frame'"),
     ({"replay.jsonl": '{"frame": "f.pnm", "forward_cm": "far", "rotate_deg": 0}\n'},
@@ -643,7 +646,7 @@ def _bands(*bands):
     ({"replay.jsonl": "[1, 2]\n"}, _MAP_BUILD,
      1, "error: {d}/replay.jsonl: line 1: list indices must be integers or slices, not str"),
     ({"angles.csv": "f0,3.0\n"}, _SMOOTH,
-     1, "error: angles CSV must start with header 'frame_id,angle_deg'"),
+     1, "error: {d}/angles.csv: angles CSV must start with header 'frame_id,angle_deg'"),
     ({}, ["--config", "{d}/none.json", *_SMOOTH],
      2, "config error: [Errno 2] No such file or directory: '{d}/none.json'"),
     ({"cfg.json": "{"}, ["--config", "{d}/cfg.json", *_SMOOTH],
@@ -662,9 +665,34 @@ def _bands(*bands):
     ({"scene.pnm": write_pnm(corridor_frame()),
       "seeds.pnm": write_pnm(Raster(np.zeros((48, 64, 3), dtype=np.uint8)))},
      _SEGMENT, 1, _MARKER_ERROR),
+    # seeds are for watershed alone; another method would ignore them
+    ({"scene.pnm": write_pnm(corridor_frame()), "seeds.pnm": write_pnm(corridor_frame())},
+     [a.replace("watershed", "otsu") for a in _SEGMENT],
+     2, "config error: --markers needs --method watershed"),
+    ({**_bands(), "model.json": json.dumps({"bias": 0.0})}, _DETECT,
+     1, "error: {d}/model.json: missing 'weights'"),
+    ({**_bands(), "model.json": "weights"}, _DETECT,
+     1, "error: {d}/model.json: Expecting value: line 1 column 1 (char 0)"),
+    ({**_bands(), "model.json": "[1]"}, _DETECT,
+     1, "error: {d}/model.json: list indices must be integers or slices, not str"),
+    # one row per line-based format: a blank line, a good line, a blank line,
+    # then the bad line 4, all with CRLF ends; the good line is read, so the
+    # blank lines are skipped and still counted
+    ({"a.pnm": write_pnm(car_patch(np.random.default_rng(0))),
+      "labels.csv": "\r\na.pnm,1\r\n\r\na.pnm,yes\r\n"},
+     _EXTRACT, 1, "error: {d}/labels.csv: line 4: label for 'a.pnm' must be 0 or 1, got 'yes'"),
+    ({"features.csv": "\r\n1,2,3\r\n\r\n0,4\r\n"},
+     _TRAIN, 1, "error: {d}/features.csv: line 4: the number of columns changed from 3 to 2"),
+    ({"angles.csv": "\r\nframe_id,angle_deg\r\n\r\nf0,x\r\n"},
+     _SMOOTH, 1, "error: {d}/angles.csv: line 4: could not convert string to float: 'x'"),
+    ({"f.pnm": write_pnm(corridor_frame()),
+      "replay.jsonl": f'\r\n{_STEP}\r\n\r\n{{"frame"}}\r\n'},
+     _MAP_BUILD, 1, "error: {d}/replay.jsonl: line 4: Expecting ':' delimiter at column 9"),
 ], ids=["empty-labels", "label-2", "empty-replay", "replay-json", "replay-no-frame",
         "replay-motion", "replay-list", "angles-header", "config-missing", "config-json", "config-list",
-        "bands-key", "bands-int", "bands-outside", "markers-size", "markers-p6"])
+        "bands-key", "bands-int", "bands-outside", "markers-size", "markers-p6",
+        "markers-otsu", "model-no-weights", "model-not-json", "model-list",
+        "lines-labels", "lines-features", "lines-angles", "lines-replay"])
 def test_bad_input_exits_without_output(tmp_path, capsys, files, argv, code, first_line):
     d, o = tmp_path / "in", tmp_path / "out"
     for name, data in files.items():
@@ -673,6 +701,13 @@ def test_bad_input_exits_without_output(tmp_path, capsys, files, argv, code, fir
     assert run([a.format(d=d, o=o) for a in argv]) == code
     assert capsys.readouterr().err.splitlines()[0] == first_line.format(d=d)
     assert not o.exists()
+
+
+def test_lines_counts_every_line_and_yields_those_with_text(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"\n a,1\r\n\r\n \t\n\xffb\rc")
+    # a lone CR ends a line too, and a byte that is not UTF-8 passes through
+    assert list(_lines(path)) == [(2, " a,1"), (5, "\udcffb"), (6, "c")]
 
 
 @pytest.mark.parametrize("argv", [

@@ -342,6 +342,16 @@ class TestDetection:
         dets = detect_cars(frame, car_model, plan, DetectorConfig(min_score=-np.inf))
         assert len(dets) == plan.total_windows == 697
 
+    @pytest.mark.parametrize("w, h", [(1000, 720), (1920, 1080)])
+    def test_frame_of_another_size_rejected(self, w, h):
+        # the plan's windows would reach past a narrower frame's edge, and
+        # score only the plan's share of a larger one
+        plan = plan_windows(1280, 720, DEFAULT_BANDS)
+        frame = noise_frame(np.random.default_rng(40), w=w, h=h)
+        with pytest.raises(ValueError, match=f"^frame is {w}x{h}, but the window plan is "
+                                             "for 1280x720$"):
+            detect_cars(frame, random_model(np.random.default_rng(41)), plan)
+
     def test_band_scores_match_one_stacked_matrix(self, car_model):
         # scoring band by band may round a score differently, as BLAS blocks
         # rows differently, but only in the last bits
