@@ -14,7 +14,7 @@ import os
 import sys
 from contextlib import suppress
 from dataclasses import asdict
-from itertools import chain, takewhile
+from itertools import chain, islice, takewhile
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +44,7 @@ from .mapping import (
 )
 from .raster import Raster, load_pnm, write_pnm
 from .segmentation import LabelMask, SegmentConfig, segment_floor
-from .steering import AngleSeries, bin_angle, smooth_series
+from .steering import ANGLE_LIMIT, AngleSeries, bin_angle, smooth_series
 
 
 class UsageError(Exception):
@@ -368,6 +368,12 @@ def _parses(text: str) -> bool:
 
 def _cmd_train(args):
     X, y = _read_features_csv(args.features_csv)
+    finite = np.isfinite(X)
+    if not finite.all():
+        # svm_train would name the data row; the line is found again only on this path
+        row, col = np.argwhere(~finite)[0]
+        n = next(islice(_lines(args.features_csv), row, None))[0]
+        raise ValueError(f"{args.features_csv}: line {n}: non-finite value at column {col + 2}")
     model = svm_train(X, y, lambda_=args.lam, epochs=args.epochs, seed=args.seed)
     yield Path(args.out), _json_bytes(model_to_dict(model))
 
@@ -473,7 +479,12 @@ def _read_angles_csv(path) -> AngleSeries:
             angles.append(float(angle))
         except ValueError as exc:
             raise ValueError(f"{path}: line {n}: {exc}") from None
+        if not abs(angles[-1]) <= ANGLE_LIMIT:  # nan compares false
+            raise ValueError(f"{path}: line {n}: angle {angle} outside "
+                             f"[-{ANGLE_LIMIT}, {ANGLE_LIMIT}]")
         ids.append(frame_id)
+    if not angles:
+        raise ValueError(f"{path}: angles CSV has no rows after its header")
     return AngleSeries(np.asarray(angles), tuple(ids))
 
 

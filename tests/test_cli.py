@@ -268,7 +268,7 @@ def test_train_non_finite_features_exit_one(tmp_path, capsys, value):
     feats.write_text("\n".join(rows) + "\n")
     out = tmp_path / "model.json"
     assert run(["train", str(feats), "--out", str(out)]) == 1
-    assert "non-finite feature values in training rows [3]" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {feats}: line 4: non-finite value at column 4\n"
     assert not out.exists()
 
 
@@ -290,6 +290,8 @@ def test_json_outputs_refuse_non_finite_numbers():
     ("\n1,2,3\r\n\r\n0,x,4\r\n", "could not convert string 'x' to float64 at column 2", 4),
     ("x,2,3\n0,4\n", "could not convert string 'x' to float64 at column 1", 1),
     ("1,2,3\n0,,5\n", "could not convert string '' to float64 at column 2", 2),
+    # a value too large for float64 parses as inf; its line is named, blank lines counted
+    ("1,2,3\n\n0,4,1e999\n1,2,2\n", "non-finite value at column 3", 3),
 ])
 def test_train_unreadable_features_name_the_file(tmp_path, capfd, text, what, n):
     feats, out = tmp_path / "feats.csv", tmp_path / "model.json"
@@ -647,6 +649,10 @@ def _bands(*bands):
      1, "error: {d}/replay.jsonl: line 1: list indices must be integers or slices, not str"),
     ({"angles.csv": "f0,3.0\n"}, _SMOOTH,
      1, "error: {d}/angles.csv: angles CSV must start with header 'frame_id,angle_deg'"),
+    ({"angles.csv": "frame_id,angle_deg\nf0,3\n\nf1,95\n"}, _SMOOTH,
+     1, "error: {d}/angles.csv: line 4: angle 95 outside [-90.0, 90.0]"),
+    ({"angles.csv": "frame_id,angle_deg\n"}, _SMOOTH,
+     1, "error: {d}/angles.csv: angles CSV has no rows after its header"),
     ({}, ["--config", "{d}/none.json", *_SMOOTH],
      2, "config error: [Errno 2] No such file or directory: '{d}/none.json'"),
     ({"cfg.json": "{"}, ["--config", "{d}/cfg.json", *_SMOOTH],
@@ -689,7 +695,8 @@ def _bands(*bands):
       "replay.jsonl": f'\r\n{_STEP}\r\n\r\n{{"frame"}}\r\n'},
      _MAP_BUILD, 1, "error: {d}/replay.jsonl: line 4: Expecting ':' delimiter at column 9"),
 ], ids=["empty-labels", "label-2", "empty-replay", "replay-json", "replay-no-frame",
-        "replay-motion", "replay-list", "angles-header", "config-missing", "config-json", "config-list",
+        "replay-motion", "replay-list", "angles-header", "angles-range", "angles-no-rows",
+        "config-missing", "config-json", "config-list",
         "bands-key", "bands-int", "bands-outside", "markers-size", "markers-p6",
         "markers-otsu", "model-no-weights", "model-not-json", "model-list",
         "lines-labels", "lines-features", "lines-angles", "lines-replay"])
