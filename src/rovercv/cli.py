@@ -434,6 +434,9 @@ def _cmd_map_build(args):
             step = json.loads(line)
             frame_path = replay_path.parent / step["frame"]
             motion = float(step["forward_cm"]), float(step["rotate_deg"])
+            for key, value in zip(("forward_cm", "rotate_deg"), motion):
+                if not math.isfinite(value):
+                    raise ValueError(f"{key} must be finite, got {value}")
         except json.JSONDecodeError as exc:
             raise ValueError(f"{replay_path}: line {n}: {exc.msg} at column {exc.colno}") from None
         except KeyError as exc:

@@ -111,6 +111,9 @@ class GroundPatch:
 
 def advance_pose(p: Pose, forward_cm: float, rotate_deg: float) -> Pose:
     """Rotate, then translate along the new heading."""
+    if not (math.isfinite(forward_cm) and math.isfinite(rotate_deg)):
+        raise ValueError(f"motion must be finite, got forward {forward_cm!r}, "
+                         f"rotate {rotate_deg!r}")
     theta = (p.theta + rotate_deg) % 360.0
     rad = math.radians(theta)
     return Pose(x=p.x + forward_cm * math.cos(rad),
@@ -168,40 +171,17 @@ def stitch_patch(m: OccupancyMap, pose: Pose, patch: GroundPatch) -> OccupancyMa
     return out
 
 
-def _rot90_map(m: OccupancyMap, quarter_turns: int) -> OccupancyMap:
-    """Exact rotation by multiples of 90 degrees CCW about the map frame origin."""
-    out = m.copy()
-    for _ in range(quarter_turns % 4):
-        ox, oy = out.origin
-        h = out.height
-        # world (x, y) -> (-y, x); cell (i, j) -> (row j, col h-1-i)
-        out = OccupancyMap(cell_cm=out.cell_cm,
-                           origin=(-oy - h * out.cell_cm, ox),
-                           grid=out.grid.T[:, ::-1].copy())
-    return out
-
-
-def _quarter_turns(deg: float):
-    """How many quarter turns a rotation by ``deg`` is, or None if it is not one."""
-    deg = deg % 360.0
-    if abs(deg - round(deg)) < 1e-9 and round(deg) % 90 == 0:
-        return int(round(deg)) // 90
-    return None
-
-
-def _states(grid: np.ndarray):
-    """Rows and columns of the grid's FREE cells, then of its OCCUPIED ones, and
-    how many are FREE."""
-    free, occupied = np.nonzero(grid == FREE), np.nonzero(grid == OCCUPIED)
-    rows, cols = (np.concatenate(pair) for pair in zip(free, occupied))
-    return rows, cols, len(free[0])
-
-
 def _known_cells(m: OccupancyMap):
     """The centres (cx, cy) of the map's FREE cells, then of its OCCUPIED ones,
     and how many are FREE."""
-    ii, jj, n_free = _states(m.grid)
-    return m.origin[0] + (jj + 0.5) * m.cell_cm, m.origin[1] + (ii + 0.5) * m.cell_cm, n_free
+    free, occupied = np.nonzero(m.grid == FREE), np.nonzero(m.grid == OCCUPIED)
+    ii, jj = (np.concatenate(pair) for pair in zip(free, occupied))
+    c = m.cell_cm
+    return m.origin[0] + (jj + 0.5) * c, m.origin[1] + (ii + 0.5) * c, len(free[0])
+
+
+# (cos, sin) of 0, 90, 180 and 270 degrees, exact
+_QUARTER_COS_SIN = ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
 
 
 def _rotated(m: OccupancyMap, rot, cells, pool: int, code):
@@ -210,34 +190,40 @@ def _rotated(m: OccupancyMap, rot, cells, pool: int, code):
     (UNKNOWN 0 < FREE < OCCUPIED), pooled ``pool`` x ``pool`` by a max (ragged
     edges padded UNKNOWN) and flipped on both axes.
 
-    A quarter turn is the exact grid rotation ``_rot90_map``, which keeps
-    UNKNOWN margins. Any other turn rotates each known cell's centre, from
-    ``cells`` (``_known_cells``), and bins the results on a grid whose corner
-    sits half a cell below the smallest. Cells go straight to their pooled
-    cells, FREE first and then OCCUPIED, so OCCUPIED wins both where rotated
-    cells collide and within a block.
+    Each known cell's centre, from ``cells`` (``_known_cells``), is turned and
+    binned on that grid. At a quarter turn cos and sin are exact, so every
+    centre lands on a cell, and the grid is the partial's own grid turned,
+    UNKNOWN margins kept: its corner sets where the pooled blocks fall. At any
+    other turn its corner sits half a cell below the smallest turned centre.
+    Cells go straight to their pooled cells, FREE first and then OCCUPIED, so
+    OCCUPIED wins both where rotated cells collide and within a block.
     """
-    q = _quarter_turns(rot)
-    if q is None:
-        cx, cy, n_free = cells
+    cx, cy, n_free = cells
+    c = m.cell_cm
+    turns = rot % 360 / 90
+    quarter = turns == int(turns)
+    if quarter:
+        cos, sin = _QUARTER_COS_SIN[int(turns)]
+    else:
         rad = math.radians(rot % 360.0)
         cos, sin = math.cos(rad), math.sin(rad)
-        rx, ry = cos * cx - sin * cy, sin * cx + cos * cy
-        c = m.cell_cm
-        ox, oy = float(rx.min()) - 0.5 * c, float(ry.min()) - 0.5 * c
-        # the offsets are at least half a cell, so truncation floors them
-        rows, cols = ((ry - oy) / c).astype(np.intp), ((rx - ox) / c).astype(np.intp)
-        frame = (ox, oy), (int(rows.max()) + 1, int(cols.max()) + 1)
+    rx, ry = cos * cx - sin * cy, sin * cx + cos * cy
+    if quarter:
+        (ox, oy), shape = m.origin, m.grid.shape
+        for _ in range(int(turns)):  # (x, y) -> (-y, x) moves the lower corner here
+            (ox, oy), shape = (-oy - shape[0] * c, ox), shape[::-1]
     else:
-        r = _rot90_map(m, q)
-        rows, cols, n_free = _states(r.grid)
-        frame = r.origin, r.grid.shape
-    h, w = (-(-n // pool) for n in frame[1])
+        ox, oy = float(rx.min()) - 0.5 * c, float(ry.min()) - 0.5 * c
+    # the offsets are at least half a cell, so truncation floors them
+    rows, cols = ((ry - oy) / c).astype(np.intp), ((rx - ox) / c).astype(np.intp)
+    if not quarter:
+        shape = int(rows.max()) + 1, int(cols.max()) + 1
+    h, w = (-(-n // pool) for n in shape)
     grid = np.zeros(h * w)
     at = h * w - 1 - rows // pool * w - cols // pool
     grid[at[:n_free]] = code[FREE]
     grid[at[n_free:]] = code[OCCUPIED]
-    return frame, grid.reshape(h, w)
+    return ((ox, oy), shape), grid.reshape(h, w)
 
 
 def _code(n_known: int) -> np.ndarray:
@@ -372,7 +358,7 @@ class LocalizeConfig:
     min_known: int = 50
     min_score: float = 0.6
     # placements are scored only where at least this fraction of the partial's
-    # known cells lands on known global cells (floored by min_known); sliver
+    # known cells lands on known global cells (floored by min_known and 1); sliver
     # overlaps would otherwise win on luck, and frontier placements by hiding
     # their distinctive cells over unexplored territory
     min_overlap_frac: float = 0.5
@@ -411,13 +397,14 @@ def _smooth_size(n: int) -> int:
 
 def _required_overlap(global_map: OccupancyMap, partial: OccupancyMap,
                       cfg: LocalizeConfig) -> int:
-    """Check that the maps can be matched; return the overlap a placement needs."""
+    """Check that the maps can be matched; return the overlap a placement needs,
+    at least one cell."""
     if partial.known_count() < cfg.min_known:
         raise InsufficientContent(f"insufficient map content: {partial.known_count()} "
                                   f"known cells, need {cfg.min_known}")
     if abs(global_map.cell_cm - partial.cell_cm) > 1e-9:
         raise ValueError("maps must share one cell size")
-    return max(cfg.min_known, int(math.ceil(cfg.min_overlap_frac * partial.known_count())))
+    return max(1, cfg.min_known, int(math.ceil(cfg.min_overlap_frac * partial.known_count())))
 
 
 def _localize_at(global_map: OccupancyMap, partial: OccupancyMap, cfg: LocalizeConfig,
@@ -433,8 +420,11 @@ def _localize_at(global_map: OccupancyMap, partial: OccupancyMap, cfg: LocalizeC
                         y=global_map.origin[1] + (ay - (h - 1)) * c - oy,
                         theta=float(rot))
             best_score = score
-    if best is None or best_score < cfg.min_score:
-        raise ValueError(f"ambiguous localization: best score {max(best_score, 0.0):.3f} "
+    if best is None:
+        raise ValueError(f"ambiguous localization: no placement overlaps {min_overlap} "
+                         "known cells")
+    if best_score < cfg.min_score:
+        raise ValueError(f"ambiguous localization: best score {best_score:.3f} "
                          f"below {cfg.min_score}")
     return LocalizeResult(pose=best, score=best_score)
 

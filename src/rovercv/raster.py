@@ -112,6 +112,8 @@ def convolve3(img: Raster, kernel: Kernel3) -> Raster:
 
 def blurred_gray(img: Raster, passes: int) -> Raster:
     """Grayscale view of ``img`` (luma for RGB) after ``passes`` 3x3 Gaussian blurs."""
+    if passes < 0:
+        raise ValueError(f"blur passes must be non-negative, got {passes}")
     gray = to_grayscale(img) if img.channels == 3 else img
     for _ in range(passes):
         gray = convolve3(gray, GAUSSIAN_3x3)

@@ -5,13 +5,14 @@ formulas, dense solvers) and deliberately shares no code with the package
 beyond its result types. The exceptions check how shared work is split, not
 the shared step itself: ``per_rotation_localize`` and ``pooled_coarse_localize``
 (the per-heading coarse-to-fine search that the batched ``localize`` replaced)
-rotate each heading alone with ``_rotate_map`` and reuse the package's
-quarter-turn rotation, pooling and overlap threshold; ``per_window_features``
-reuses the block grid, the HOG planes and the bilinear resample of a single
-patch; ``full_search_best_rightward`` picks the lane line from a full-range
-``hough_lines``; ``list_detect_sequence`` scores and fuses each frame
-with the detector's own stages; and ``component_markers`` splits the image
-at the package's Otsu threshold.
+rotate each heading alone with ``_rotate_map``, which turns quarter turns
+as whole grids (``_rot90_map``), and reuse the package's pooling and overlap
+threshold; ``per_window_features`` reuses the block grid, the HOG planes
+and the bilinear resample of a single patch; ``full_search_best_rightward``
+picks the lane line from a full-range ``hough_lines``;
+``list_detect_sequence`` scores and fuses each frame with the detector's own
+stages; and ``component_markers`` splits the image at the package's Otsu
+threshold.
 """
 
 import heapq
@@ -38,7 +39,6 @@ from rovercv.mapping import (
     Pose,
     _pool,
     _required_overlap,
-    _rot90_map,
     _smooth_size,
 )
 from rovercv.raster import _resize_bilinear
@@ -506,7 +506,7 @@ def per_rotation_localize(global_map, partial, cfg, rotations) -> LocalizeResult
             f"need {cfg.min_known}")
     if abs(global_map.cell_cm - partial.cell_cm) > 1e-9:
         raise ValueError("maps must share one cell size")
-    min_overlap = max(cfg.min_known,
+    min_overlap = max(1, cfg.min_known,
                       int(math.ceil(cfg.min_overlap_frac * partial.known_count())))
 
     kg = (global_map.grid != UNKNOWN).astype(np.float64)
@@ -539,10 +539,26 @@ def per_rotation_localize(global_map, partial, cfg, rotations) -> LocalizeResult
                         theta=float(rot))
             best_score = score
 
-    if best is None or best_score < cfg.min_score:
-        raise ValueError(f"ambiguous localization: best score {max(best_score, 0.0):.3f} "
+    if best is None:
+        raise ValueError(f"ambiguous localization: no placement overlaps {min_overlap} "
+                         "known cells")
+    if best_score < cfg.min_score:
+        raise ValueError(f"ambiguous localization: best score {best_score:.3f} "
                          f"below {cfg.min_score}")
     return LocalizeResult(pose=best, score=best_score)
+
+
+def _rot90_map(m: OccupancyMap, quarter_turns: int) -> OccupancyMap:
+    """Exact rotation by multiples of 90 degrees CCW about the map frame origin."""
+    out = m.copy()
+    for _ in range(quarter_turns % 4):
+        ox, oy = out.origin
+        h = out.height
+        # world (x, y) -> (-y, x); cell (i, j) -> (row j, col h-1-i)
+        out = OccupancyMap(cell_cm=out.cell_cm,
+                           origin=(-oy - h * out.cell_cm, ox),
+                           grid=out.grid.T[:, ::-1].copy())
+    return out
 
 
 def _rotate_map(m: OccupancyMap, deg: float) -> OccupancyMap:
@@ -649,8 +665,11 @@ def _per_heading_localize_at(global_map: OccupancyMap, partial: OccupancyMap,
                         y=global_map.origin[1] + dy * c - r.origin[1],
                         theta=float(rot))
             best_score = score
-    if best is None or best_score < cfg.min_score:
-        raise ValueError(f"ambiguous localization: best score {max(best_score, 0.0):.3f} "
+    if best is None:
+        raise ValueError(f"ambiguous localization: no placement overlaps {min_overlap} "
+                         "known cells")
+    if best_score < cfg.min_score:
+        raise ValueError(f"ambiguous localization: best score {best_score:.3f} "
                          f"below {cfg.min_score}")
     return LocalizeResult(pose=best, score=best_score)
 

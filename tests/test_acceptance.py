@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from oracles import (
+    _rot90_map,
     brute_otsu,
     dense_smooth,
     line_residual,
@@ -54,7 +55,6 @@ from rovercv.mapping import (
     OccupancyMap,
     Pose,
     UNKNOWN,
-    _rot90_map,
     advance_pose,
     explore_step,
     localize,

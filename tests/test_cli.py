@@ -624,6 +624,15 @@ _SMOOTH = ["smooth", "{d}/angles.csv", "--out", "{o}/smoothed.csv"]
 _EXTRACT = ["extract", "{d}", "{d}/labels.csv", "--out", "{o}/f.csv"]
 _TRAIN = ["train", "{d}/features.csv", "--out", "{o}/model.json"]
 _STEP = '{"frame": "f.pnm", "forward_cm": 20, "rotate_deg": 0}'
+_LOCALIZE = ["localize", "{d}/g.rmap", "{d}/p.rmap", "--min-score", "0",
+             "--out", "{o}/pose.json"]
+# an all-UNKNOWN 20x20 world, and a 10x12 partial with 19 FREE cells
+_NO_OVERLAP = {
+    "g.rmap": map_to_bytes(OccupancyMap(cell_cm=2.0, origin=(0.0, 0.0),
+                                        grid=np.zeros((20, 20), dtype=np.uint8))),
+    "p.rmap": map_to_bytes(OccupancyMap(
+        cell_cm=2.0, origin=(0.0, 0.0),
+        grid=(np.arange(120) < 19).reshape(10, 12).astype(np.uint8)))}
 _MARKER_ERROR = ("error: {d}/seeds.pnm: marker image must be P5 with the same dimensions "
                  "as the input")
 
@@ -647,6 +656,19 @@ def _bands(*bands):
      _MAP_BUILD, 1, "error: {d}/replay.jsonl: line 1: could not convert string to float: 'far'"),
     ({"replay.jsonl": "[1, 2]\n"}, _MAP_BUILD,
      1, "error: {d}/replay.jsonl: line 1: list indices must be integers or slices, not str"),
+    # a non-finite motion is named on its own line, the last one too
+    ({"f.pnm": write_pnm(corridor_frame()),
+      "replay.jsonl": '{"frame": "f.pnm", "forward_cm": Infinity, "rotate_deg": 0}\n' + _STEP},
+     _MAP_BUILD, 1, "error: {d}/replay.jsonl: line 1: forward_cm must be finite, got inf"),
+    ({"f.pnm": write_pnm(corridor_frame()),
+      "replay.jsonl": _STEP + '\n{"frame": "f.pnm", "forward_cm": 20, "rotate_deg": NaN}\n'},
+     _MAP_BUILD, 1, "error: {d}/replay.jsonl: line 2: rotate_deg must be finite, got nan"),
+    # with no floor from --min-known or --min-overlap-frac, a placement still
+    # needs one known cell to overlap, and the world has none
+    (_NO_OVERLAP, [*_LOCALIZE, "--min-known", "0", "--min-overlap-frac", "0"],
+     1, "error: ambiguous localization: no placement overlaps 1 known cells"),
+    (_NO_OVERLAP, [*_LOCALIZE, "--min-known", "5"],
+     1, "error: ambiguous localization: no placement overlaps 10 known cells"),
     ({"angles.csv": "f0,3.0\n"}, _SMOOTH,
      1, "error: {d}/angles.csv: angles CSV must start with header 'frame_id,angle_deg'"),
     ({"angles.csv": "frame_id,angle_deg\nf0,3\n\nf1,95\n"}, _SMOOTH,
@@ -695,7 +717,9 @@ def _bands(*bands):
       "replay.jsonl": f'\r\n{_STEP}\r\n\r\n{{"frame"}}\r\n'},
      _MAP_BUILD, 1, "error: {d}/replay.jsonl: line 4: Expecting ':' delimiter at column 9"),
 ], ids=["empty-labels", "label-2", "empty-replay", "replay-json", "replay-no-frame",
-        "replay-motion", "replay-list", "angles-header", "angles-range", "angles-no-rows",
+        "replay-motion", "replay-list", "replay-inf", "replay-nan-last",
+        "localize-no-floor", "localize-no-overlap", "angles-header", "angles-range",
+        "angles-no-rows",
         "config-missing", "config-json", "config-list",
         "bands-key", "bands-int", "bands-outside", "markers-size", "markers-p6",
         "markers-otsu", "model-no-weights", "model-not-json", "model-list",

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import (
     _best_placements,
     _fft_xcorr,
+    _rot90_map,
     _rotate_map,
     per_rotation_localize,
     pooled_coarse_localize,
@@ -29,7 +30,6 @@ from rovercv.mapping import (
     _known_cells,
     _localize_at,
     _pool,
-    _rot90_map,
     _rotated,
     _search,
     _smooth_size,
@@ -101,6 +101,11 @@ class TestAdvancePose:
         assert p.x == pytest.approx(start.x, abs=1e-6)
         assert p.y == pytest.approx(start.y, abs=1e-6)
         assert p.theta == pytest.approx(start.theta, abs=1e-6)
+
+    @pytest.mark.parametrize("forward, rotate", [(math.inf, 0.0), (1.0, math.nan)])
+    def test_non_finite_motion_rejected(self, forward, rotate):
+        with pytest.raises(ValueError, match="motion must be finite"):
+            advance_pose(Pose(0, 0, 0), forward, rotate)
 
 
 class TestStitch:
@@ -386,9 +391,24 @@ class TestSharedSpectraSearch:
         part = OccupancyMap(cell_cm=2.0, origin=(0.0, 0.0),
                             grid=np.full((15, 15), FREE, dtype=np.uint8))
         cfg = LocalizeConfig(min_known=200, min_score=0.0, min_overlap_frac=1.0)
-        with pytest.raises(ValueError, match="ambiguous localization: best score 0.000"):
+        message = "ambiguous localization: no placement overlaps 225 known cells"
+        with pytest.raises(ValueError, match=message):
             localize(world, part, cfg)
-        with pytest.raises(ValueError, match="ambiguous localization: best score 0.000"):
+        with pytest.raises(ValueError, match=message):
+            per_rotation_localize(world, part, cfg, [0, 90])
+
+    def test_placement_must_overlap_a_known_cell(self):
+        # no floor from min_known or min_overlap_frac still leaves one cell:
+        # an all-UNKNOWN world has no placement to score, not a 0.0 match
+        world = OccupancyMap(cell_cm=2.0, origin=(0.0, 0.0),
+                             grid=np.zeros((20, 20), dtype=np.uint8))
+        part = OccupancyMap(cell_cm=2.0, origin=(0.0, 0.0),
+                            grid=(np.arange(120) < 19).reshape(10, 12).astype(np.uint8))
+        cfg = LocalizeConfig(min_known=0, min_score=0.0, min_overlap_frac=0.0)
+        message = "ambiguous localization: no placement overlaps 1 known cells"
+        with pytest.raises(ValueError, match=message):
+            localize(world, part, cfg)
+        with pytest.raises(ValueError, match=message):
             per_rotation_localize(world, part, cfg, [0, 90])
 
     @pytest.mark.parametrize("global_shape, partial_shapes", [

@@ -4,12 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import convolve_at
+from rovercv.geometry import LaneConfig, detect_lane, largest_rectangle
 from rovercv.raster import (
     GAUSSIAN_3x3,
     IDENTITY_3x3,
     Kernel3,
     Raster,
     SOBEL_X,
+    blurred_gray,
     convolve3,
     read_pnm,
     resize_bilinear,
@@ -18,6 +20,7 @@ from rovercv.raster import (
     to_grayscale,
     write_pnm,
 )
+from rovercv.segmentation import SegmentConfig, segment_floor
 
 
 def gray(arr):
@@ -112,6 +115,19 @@ class TestConvolve3:
     def test_requires_grayscale(self):
         with pytest.raises(ValueError):
             convolve3(rgb(np.zeros((4, 4, 3))), IDENTITY_3x3)
+
+
+@pytest.mark.parametrize("run, passes", [
+    (lambda img: blurred_gray(img, -2), -2),
+    (lambda img: detect_lane(img, LaneConfig(blur_passes=-1)), -1),
+    (lambda img: segment_floor(img, "otsu", SegmentConfig(blur_passes=-3)), -3),
+    (lambda img: largest_rectangle(img, blur_passes=-1), -1),
+], ids=["blurred_gray", "lanes", "segmentation", "calibration"])
+def test_negative_blur_passes_rejected(run, passes):
+    # blurred_gray is the one blur of lanes, segmentation and calibration
+    img = rgb(np.random.default_rng(3).integers(0, 256, (24, 32, 3)))
+    with pytest.raises(ValueError, match=f"blur passes must be non-negative, got {passes}$"):
+        run(img)
 
 
 class TestSobelMagnitude:
