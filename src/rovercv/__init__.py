@@ -20,7 +20,7 @@ from .detector import (
 from .features import FeatureConfig, FeatureVector, HogParams, color_histogram, extract_features, hog, spatial_features
 from .geometry import Contour, HoughLine, Lane, LaneConfig, detect_lane, find_contours, hough_lines, largest_rectangle
 from .mapping import GroundPatch, OccupancyMap, Pose, advance_pose, explore_step, localize, stitch_patch
-from .raster import Kernel3, Raster, convolve3, read_pnm, sobel_magnitude, threshold_binary, to_grayscale, write_pnm
+from .raster import Raster, read_pnm, sobel_magnitude, threshold_binary, to_grayscale, write_pnm
 from .segmentation import (
     LabelMask,
     OtsuResult,

@@ -33,9 +33,9 @@ from .features import FeatureConfig, HogParams, extract_features
 from .geometry import LaneConfig, detect_lane
 from .mapping import (
     ExploreConfig,
-    InsufficientContent,
     LocalizeConfig,
     OccupancyMap,
+    PartialMapError,
     Pose,
     explore_step,
     localize,
@@ -228,8 +228,12 @@ def _json_bytes(obj) -> bytes:
 
 
 def _cmd_calibrate(args):
-    model = calibrate_from_image(load_pnm(args.image), args.distance_cm, args.length_cm,
-                                 edge_threshold=args.edge_threshold)
+    image = load_pnm(args.image)
+    try:
+        model = calibrate_from_image(image, args.distance_cm, args.length_cm,
+                                     edge_threshold=args.edge_threshold)
+    except ValueError as exc:
+        raise ValueError(f"{args.image}: {exc}") from None
     yield Path(args.out), _json_bytes(model.to_dict())
 
 
@@ -443,7 +447,11 @@ def _cmd_map_build(args):
             raise ValueError(f"{replay_path}: line {n}: missing {exc}") from None
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{replay_path}: line {n}: {exc}") from None
-        world, pose = explore_step(world, pose, load_pnm(frame_path), *motion, cfg)
+        frame = load_pnm(frame_path)
+        try:
+            world, pose = explore_step(world, pose, frame, *motion, cfg)
+        except ValueError as exc:
+            raise ValueError(f"{replay_path}: line {n}: {exc}") from None
     if step is None:
         raise ValueError(f"{replay_path}: replay script is empty")
     yield Path(args.out), map_to_bytes(world)
@@ -466,7 +474,7 @@ def _cmd_localize(args):
                          min_overlap_frac=args.min_overlap_frac)
     try:
         result = localize(global_map, partial, cfg)
-    except InsufficientContent as exc:
+    except PartialMapError as exc:
         raise ValueError(f"{args.partial_map}: {exc}") from None
     yield Path(args.out), _json_bytes({**asdict(result.pose), "score": result.score})
 

@@ -2,6 +2,7 @@
 detection pipeline.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,9 @@ class LaneConfig:
     def __post_init__(self):
         if not 0 <= self.horizon_frac <= 1:
             raise ValueError(f"horizon_frac must lie in [0, 1], got {self.horizon_frac!r}")
+        if not 0 < self.top_width_frac < math.inf:
+            raise ValueError("top_width_frac must be a finite number above 0, "
+                             f"got {self.top_width_frac!r}")
         if not 0 <= self.horizontal_margin_deg < 90:
             raise ValueError("horizontal_margin_deg must be a finite angle in [0, 90), "
                              f"got {self.horizontal_margin_deg!r}")

@@ -17,6 +17,9 @@ _STATE_TO_PNM = np.array([128, 255, 0], dtype=np.uint8)
 # localize scores every _COARSE_STEP_DEG-th degree on grids pooled _POOL x _POOL,
 # then re-scores the _KEEP best, and each degree within a step of them, unpooled
 _COARSE_STEP_DEG, _POOL, _KEEP = 2, 2, 4
+# the most cells a stitched map may grow to: 64 MiB as uint8, which stitch_patch
+# copies on every step, or 164 m on a side at the default 2 cm cell
+MAX_MAP_CELLS = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -75,7 +78,8 @@ class OccupancyMap:
         return int((self.grid != UNKNOWN).sum())
 
     def _expand_to(self, x_min, x_max, y_min, y_max):
-        """Grow the grid (with unknown cells) until the world bbox is covered."""
+        """Grow the grid (with unknown cells) until the world bbox is covered;
+        raise ValueError, before allocating, past MAX_MAP_CELLS cells."""
         c = self.cell_cm
         ox, oy = self.origin
         j0 = math.floor((x_min - ox) / c)
@@ -86,6 +90,10 @@ class OccupancyMap:
         pad_right = max(0, j1 - (self.width - 1))
         pad_bottom = max(0, -i0)
         pad_top = max(0, i1 - (self.height - 1))
+        h, w = self.height + pad_bottom + pad_top, self.width + pad_left + pad_right
+        if h * w > MAX_MAP_CELLS:
+            raise ValueError(f"map would grow to {h:.4g} x {w:.4g} cells, above the limit "
+                             f"of {MAX_MAP_CELLS}")
         if pad_left or pad_right or pad_bottom or pad_top:
             self.grid = np.pad(self.grid,
                                ((pad_bottom, pad_top), (pad_left, pad_right)),
@@ -379,8 +387,9 @@ class LocalizeResult:
     score: float
 
 
-class InsufficientContent(ValueError):
-    """The partial map has fewer known cells than ``LocalizeConfig.min_known``."""
+class PartialMapError(ValueError):
+    """The partial map cannot be matched: it has fewer known cells than
+    ``LocalizeConfig.min_known``, or another cell size than the global map."""
 
 
 def _smooth_size(n: int) -> int:
@@ -400,10 +409,11 @@ def _required_overlap(global_map: OccupancyMap, partial: OccupancyMap,
     """Check that the maps can be matched; return the overlap a placement needs,
     at least one cell."""
     if partial.known_count() < cfg.min_known:
-        raise InsufficientContent(f"insufficient map content: {partial.known_count()} "
-                                  f"known cells, need {cfg.min_known}")
+        raise PartialMapError(f"insufficient map content: {partial.known_count()} "
+                              f"known cells, need {cfg.min_known}")
     if abs(global_map.cell_cm - partial.cell_cm) > 1e-9:
-        raise ValueError("maps must share one cell size")
+        raise PartialMapError(f"maps must share one cell size: the partial map's is "
+                              f"{partial.cell_cm} cm, the global map's {global_map.cell_cm} cm")
     return max(1, cfg.min_known, int(math.ceil(cfg.min_overlap_frac * partial.known_count())))
 
 

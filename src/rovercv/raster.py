@@ -1,4 +1,4 @@
-"""8-bit raster images, binary PNM (P5/P6) file I/O, and 3x3 filter kernels.
+"""8-bit raster images, binary PNM (P5/P6) file I/O, and the 3x3 blur and Sobel stage.
 
 Every downstream stage (segmentation, lane finding, feature extraction,
 detection) operates on these rasters. Pixels are stored row-major as numpy
@@ -54,28 +54,6 @@ class Raster:
         return 1 if self.pixels.ndim == 2 else 3
 
 
-@dataclass(frozen=True, eq=False)
-class Kernel3:
-    """3x3 kernel with an explicit normalizing divisor (applied after the weighted sum)."""
-
-    weights: np.ndarray
-    divisor: float = 1.0
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=np.float64)
-        if w.shape != (3, 3):
-            raise ValueError("kernel weights must be 3x3")
-        if self.divisor == 0:
-            raise ValueError("kernel divisor must be nonzero")
-        object.__setattr__(self, "weights", w)
-
-
-IDENTITY_3x3 = Kernel3([[0, 0, 0], [0, 1, 0], [0, 0, 0]])
-GAUSSIAN_3x3 = Kernel3([[1, 2, 1], [2, 4, 2], [1, 2, 1]], divisor=16.0)
-SOBEL_X = Kernel3([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]])
-SOBEL_Y = Kernel3([[-1, -2, -1], [0, 0, 0], [1, 2, 1]])
-
-
 def _require_gray(img: Raster):
     if img.channels != 1:
         raise ValueError("expected a grayscale raster")
@@ -90,42 +68,41 @@ def to_grayscale(img: Raster) -> Raster:
     return Raster(np.clip(np.rint(y), 0, 255).astype(np.uint8))
 
 
-def _correlate3(arr: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Positional 3x3 weighted sum (no kernel flip); borders replicate the edge pixel."""
-    h, w = arr.shape
-    padded = np.pad(arr, 1, mode="edge")
-    out = np.zeros((h, w), dtype=np.float64)
-    for dy in range(3):
-        for dx in range(3):
-            coeff = weights[dy, dx]
-            if coeff != 0.0:
-                out += coeff * padded[dy:dy + h, dx:dx + w]
-    return out
+def _pass3(arr: np.ndarray, taps: tuple[int, int, int], axis: int) -> np.ndarray:
+    """Integer 3-tap weighted sum down the rows (axis 0) or across the columns
+    (axis 1) of an edge-padded array, which comes out 2 shorter along ``axis``."""
+    n = arr.shape[axis] - 2
+    shifted = (arr[k:k + n] if axis == 0 else arr[:, k:k + n] for k in range(3))
+    return sum(tap * part for tap, part in zip(taps, shifted) if tap)
 
 
-def convolve3(img: Raster, kernel: Kernel3) -> Raster:
-    """Apply a 3x3 kernel: clamp(round(weighted sum / divisor)); edge-replicated borders."""
-    _require_gray(img)
-    acc = _correlate3(img.pixels.astype(np.float64), kernel.weights) / kernel.divisor
-    return Raster(np.clip(np.rint(acc), 0, 255).astype(np.uint8))
+def _padded(gray: np.ndarray) -> np.ndarray:
+    return np.pad(gray.astype(np.int32), 1, mode="edge")
 
 
 def blurred_gray(img: Raster, passes: int) -> Raster:
-    """Grayscale view of ``img`` (luma for RGB) after ``passes`` 3x3 Gaussian blurs."""
+    """Grayscale view of ``img`` (luma for RGB) after ``passes`` 3x3 Gaussian
+    blurs: [1, 2, 1] down, then across, then /16 rounded half to even, with
+    edge-replicated borders."""
     if passes < 0:
         raise ValueError(f"blur passes must be non-negative, got {passes}")
     gray = to_grayscale(img) if img.channels == 3 else img
+    arr = gray.pixels
     for _ in range(passes):
-        gray = convolve3(gray, GAUSSIAN_3x3)
-    return gray
+        acc = _pass3(_pass3(_padded(arr), (1, 2, 1), 0), (1, 2, 1), 1)
+        arr = np.rint(acc / 16).astype(np.uint8)
+    return Raster(arr)
 
 
 def sobel_magnitude(img: Raster) -> Raster:
-    """Euclidean Sobel gradient magnitude, rounded and clamped to [0, 255]."""
+    """Euclidean Sobel gradient magnitude, rounded and clamped to [0, 255].
+    gx is [1, 2, 1] down then [-1, 0, 1] across, and gy its transpose, with
+    edge-replicated borders."""
     _require_gray(img)
-    arr = img.pixels.astype(np.float64)
-    gx = _correlate3(arr, SOBEL_X.weights)
-    gy = _correlate3(arr, SOBEL_Y.weights)
+    padded = _padded(img.pixels)
+    gx = _pass3(_pass3(padded, (1, 2, 1), 0), (-1, 0, 1), 1)
+    gy = _pass3(_pass3(padded, (1, 2, 1), 1), (-1, 0, 1), 0)
+    # int32 operands give a float64 hypot; int16 ones would round in float32
     mag = np.hypot(gx, gy)
     return Raster(np.clip(np.rint(mag), 0, 255).astype(np.uint8))
 

@@ -3,6 +3,7 @@ marker-based watershed flooding behind one ``segment_floor`` entry point.
 """
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,15 @@ class SegmentConfig:
     kmeans_max_iter: int = 100
     kmeans_tol: float = 1e-4
     marker_dist_frac: float = 0.5
+
+    def __post_init__(self):
+        if not self.kmeans_max_iter >= 1:
+            raise ValueError(f"kmeans_max_iter must be at least 1, got {self.kmeans_max_iter!r}")
+        if not 0 <= self.kmeans_tol < math.inf:
+            raise ValueError("kmeans_tol must be a finite number at least 0, "
+                             f"got {self.kmeans_tol!r}")
+        if not 0 <= self.marker_dist_frac <= 1:
+            raise ValueError(f"marker_dist_frac must lie in [0, 1], got {self.marker_dist_frac!r}")
 
 
 def otsu_from_histogram(hist) -> OtsuResult:

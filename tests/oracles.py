@@ -505,7 +505,8 @@ def per_rotation_localize(global_map, partial, cfg, rotations) -> LocalizeResult
             f"insufficient map content: {partial.known_count()} known cells, "
             f"need {cfg.min_known}")
     if abs(global_map.cell_cm - partial.cell_cm) > 1e-9:
-        raise ValueError("maps must share one cell size")
+        raise ValueError(f"maps must share one cell size: the partial map's is "
+                         f"{partial.cell_cm} cm, the global map's {global_map.cell_cm} cm")
     min_overlap = max(1, cfg.min_known,
                       int(math.ceil(cfg.min_overlap_frac * partial.known_count())))
 

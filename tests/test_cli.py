@@ -663,6 +663,24 @@ def _bands(*bands):
     ({"f.pnm": write_pnm(corridor_frame()),
       "replay.jsonl": _STEP + '\n{"frame": "f.pnm", "forward_cm": 20, "rotate_deg": NaN}\n'},
      _MAP_BUILD, 1, "error: {d}/replay.jsonl: line 2: rotate_deg must be finite, got nan"),
+    # a motion that would grow the map past 1 << 26 cells is named on the line
+    # whose step stitches there; 1e300 used to end in a TypeError from np.pad
+    ({"f.pnm": write_pnm(corridor_frame()),
+      "replay.jsonl": '{"frame": "f.pnm", "forward_cm": 1e300, "rotate_deg": 0}\n' + _STEP},
+     _MAP_BUILD, 1, "error: {d}/replay.jsonl: line 2: map would grow to 31 x 5e+299 cells, "
+                    "above the limit of 67108864"),
+    ({"f.pnm": write_pnm(corridor_frame()),
+      "replay.jsonl": '{"frame": "f.pnm", "forward_cm": 4e7, "rotate_deg": 0}\n' + _STEP},
+     _MAP_BUILD, 1, "error: {d}/replay.jsonl: line 2: map would grow to 31 x 2e+07 cells, "
+                    "above the limit of 67108864"),
+    ({**_NO_OVERLAP, "p.rmap": map_to_bytes(OccupancyMap(
+        cell_cm=3.0, origin=(0.0, 0.0), grid=np.ones((10, 10), dtype=np.uint8)))},
+     _LOCALIZE, 1, "error: {d}/p.rmap: maps must share one cell size: the partial map's is "
+                   "3.0 cm, the global map's 2.0 cm"),
+    ({"blank.pnm": write_pnm(Raster(np.zeros((72, 128), dtype=np.uint8)))},
+     ["calibrate", "{d}/blank.pnm", "--distance-cm", "70", "--length-cm", "20",
+      "--out", "{o}/camera.json"],
+     1, "error: {d}/blank.pnm: no rectangle found"),
     # with no floor from --min-known or --min-overlap-frac, a placement still
     # needs one known cell to overlap, and the world has none
     (_NO_OVERLAP, [*_LOCALIZE, "--min-known", "0", "--min-overlap-frac", "0"],
@@ -718,6 +736,7 @@ def _bands(*bands):
      _MAP_BUILD, 1, "error: {d}/replay.jsonl: line 4: Expecting ':' delimiter at column 9"),
 ], ids=["empty-labels", "label-2", "empty-replay", "replay-json", "replay-no-frame",
         "replay-motion", "replay-list", "replay-inf", "replay-nan-last",
+        "replay-huge", "replay-far", "localize-cell-size", "calibrate-blank",
         "localize-no-floor", "localize-no-overlap", "angles-header", "angles-range",
         "angles-no-rows",
         "config-missing", "config-json", "config-list",

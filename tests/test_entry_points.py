@@ -4,8 +4,9 @@ import pytest
 from rovercv.calibration import estimate_focal
 from rovercv.classifier import svm_train
 from rovercv.detector import DetectorConfig
+from rovercv.geometry import LaneConfig
 from rovercv.mapping import GroundPatch
-from rovercv.segmentation import LabelMask
+from rovercv.segmentation import LabelMask, SegmentConfig
 from rovercv.steering import AngleSeries, smooth_series
 
 
@@ -30,7 +31,23 @@ _X, _Y = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 1.0], [3.0, 0.0]]), np.array([0
     (lambda v: _patch(width_cm=v), "width_cm"),
     (lambda v: _patch(depth_cm=v), "depth_cm"),
     (lambda v: _patch(offset_cm=v), "offset_cm"),
+    (lambda v: LaneConfig(top_width_frac=v), "top_width_frac"),
+    (lambda v: SegmentConfig(kmeans_tol=v), "kmeans_tol"),
+    (lambda v: SegmentConfig(marker_dist_frac=v), "marker_dist_frac"),
 ])
 def test_non_finite_input_raises_naming_the_field(make, field, value):
     with pytest.raises(ValueError, match=field):
         make(value)
+
+
+@pytest.mark.parametrize("make, field", [
+    (lambda: LaneConfig(top_width_frac=-0.5), "top_width_frac"),
+    (lambda: LaneConfig(top_width_frac=0.0), "top_width_frac"),
+    (lambda: SegmentConfig(kmeans_max_iter=0), "kmeans_max_iter"),
+    (lambda: SegmentConfig(kmeans_tol=-1e-4), "kmeans_tol"),
+    (lambda: SegmentConfig(marker_dist_frac=-1.0), "marker_dist_frac"),
+    (lambda: SegmentConfig(marker_dist_frac=2.0), "marker_dist_frac"),
+])
+def test_out_of_range_config_raises_naming_the_field(make, field):
+    with pytest.raises(ValueError, match=f"^{field} must "):
+        make()

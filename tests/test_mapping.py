@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -148,6 +149,17 @@ class TestStitch:
         stitch_patch(m, Pose(0, 0, 0), patch)
         assert m.width == 1 and m.height == 1 and m.grid[0, 0] == UNKNOWN
 
+    def test_growth_past_the_cell_limit_rejected(self):
+        patch = patch_from_array(np.zeros((4, 4)), 8, 8, 4)
+        m = OccupancyMap.empty(2.0)
+        # 1e300 used to reach np.pad as a float pad width; 4e7 cm is 2e7 cells
+        for x, size in ((1e300, "5 x 5e+299"), (4e7, "5 x 2e+07")):
+            message = f"map would grow to {size} cells, above the limit of {1 << 26}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                stitch_patch(m, Pose(x, 0.0, 0.0), patch)
+        grown = stitch_patch(m, Pose(2e5, 0.0, 0.0), patch)
+        assert grown.height * grown.width <= mapping.MAX_MAP_CELLS == 1 << 26
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 5))
     def test_fusion_monotone(self, seed, steps):
@@ -210,6 +222,13 @@ class TestLocalize:
                              grid=np.full((40, 40), UNKNOWN, dtype=np.uint8))
         with pytest.raises(ValueError, match="insufficient map content"):
             localize(world, empty)
+
+    def test_cell_sizes_must_match(self):
+        part = OccupancyMap(cell_cm=3.0, origin=(0.0, 0.0), grid=make_global_map(size=30).grid)
+        with pytest.raises(mapping.PartialMapError,
+                           match=r"^maps must share one cell size: the partial map's is 3\.0 cm, "
+                                 r"the global map's 2\.0 cm$"):
+            localize(make_global_map(), part)
 
     def test_contradictory_partial_ambiguous(self):
         # a checkerboard matches any region of the mostly-free world at ~50%

@@ -1,18 +1,15 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import convolve_at
 from rovercv.geometry import LaneConfig, detect_lane, largest_rectangle
 from rovercv.raster import (
-    GAUSSIAN_3x3,
-    IDENTITY_3x3,
-    Kernel3,
     Raster,
-    SOBEL_X,
     blurred_gray,
-    convolve3,
     read_pnm,
     resize_bilinear,
     sobel_magnitude,
@@ -21,6 +18,11 @@ from rovercv.raster import (
     write_pnm,
 )
 from rovercv.segmentation import SegmentConfig, segment_floor
+
+# the 3x3 weights the blur and Sobel stages compute as separable passes
+GAUSSIAN = [[1, 2, 1], [2, 4, 2], [1, 2, 1]]  # then divided by 16
+SOBEL_X = [[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]]
+SOBEL_Y = [[-1, -2, -1], [0, 0, 0], [1, 2, 1]]
 
 
 def gray(arr):
@@ -60,12 +62,6 @@ class TestRasterType:
         r = rgb(np.zeros((5, 7, 3)))
         assert (r.width, r.height, r.channels) == (7, 5, 3)
 
-    def test_kernel_validation(self):
-        with pytest.raises(ValueError):
-            Kernel3(np.ones((2, 3)))
-        with pytest.raises(ValueError):
-            Kernel3(np.ones((3, 3)), divisor=0)
-
 
 class TestGrayscale:
     def test_white_maps_to_white(self):
@@ -85,36 +81,40 @@ class TestGrayscale:
             to_grayscale(gray(np.zeros((2, 2))))
 
 
-class TestConvolve3:
-    def test_identity_kernel(self):
-        rng = np.random.default_rng(0)
-        img = random_gray(rng)
-        assert (convolve3(img, IDENTITY_3x3).pixels == img.pixels).all()
+def hand_blur(arr, passes):
+    """Blur passes by hand, each rounded to whole pixels before the next."""
+    h, w = arr.shape
+    for _ in range(passes):
+        arr = np.array([[round(convolve_at(arr, GAUSSIAN, x, y) / 16) for x in range(w)]
+                        for y in range(h)], dtype=np.uint8)
+    return arr
 
+
+def hand_sobel(arr):
+    h, w = arr.shape
+    return np.array([[min(round(math.hypot(convolve_at(arr, SOBEL_X, x, y),
+                                           convolve_at(arr, SOBEL_Y, x, y))), 255)
+                      for x in range(w)] for y in range(h)], dtype=np.uint8)
+
+
+class TestBlurredGray:
     def test_gaussian_on_constant(self):
         img = gray(np.full((9, 9), 77))
-        assert (convolve3(img, GAUSSIAN_3x3).pixels == 77).all()
+        assert (blurred_gray(img, 1).pixels == 77).all()
 
-    def test_sobel_x_on_step_matches_hand_convolution(self):
-        step = np.zeros((6, 6), dtype=np.uint8)
-        step[:, 3:] = 255
-        out = convolve3(gray(step), SOBEL_X)
-        expected = convolve_at(step, SOBEL_X.weights, 2, 2)
-        assert expected == 1020
-        assert out.pixels[2, 2] == 255  # clamp(1020)
-
-    def test_matches_hand_convolution_everywhere(self):
-        rng = np.random.default_rng(1)
-        img = rng.integers(0, 256, size=(7, 8)).astype(np.uint8)
-        out = convolve3(gray(img), SOBEL_X)
-        for y in range(7):
-            for x in range(8):
-                expected = np.clip(round(convolve_at(img, SOBEL_X.weights, x, y)), 0, 255)
-                assert out.pixels[y, x] == expected
-
-    def test_requires_grayscale(self):
-        with pytest.raises(ValueError):
-            convolve3(rgb(np.zeros((4, 4, 3))), IDENTITY_3x3)
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 12), st.booleans(), st.integers(0, 3),
+           st.integers(0, 2**32 - 1))
+    @example(1, 1, False, 3, 0)
+    @example(1, 9, True, 2, 1)
+    @example(9, 1, False, 1, 2)
+    def test_blur_and_sobel_equal_hand_convolution(self, h, w, color, passes, seed):
+        rng = np.random.default_rng(seed)
+        img = Raster(rng.integers(0, 256, size=(h, w, 3) if color else (h, w)).astype(np.uint8))
+        start = to_grayscale(img).pixels if color else img.pixels
+        blurred = blurred_gray(img, passes)
+        assert (blurred.pixels == hand_blur(start, passes)).all()
+        assert (sobel_magnitude(blurred).pixels == hand_sobel(blurred.pixels)).all()
 
 
 @pytest.mark.parametrize("run, passes", [
@@ -131,6 +131,22 @@ def test_negative_blur_passes_rejected(run, passes):
 
 
 class TestSobelMagnitude:
+    def test_step_matches_hand_convolution(self):
+        step = np.zeros((6, 6), dtype=np.uint8)
+        step[:, 3:] = 255
+        assert convolve_at(step, SOBEL_X, 2, 2) == 1020
+        assert convolve_at(step, SOBEL_Y, 2, 2) == 0
+        assert sobel_magnitude(gray(step)).pixels[2, 2] == 255  # clamp(1020)
+
+    def test_matches_hand_convolution_everywhere(self):
+        rng = np.random.default_rng(1)
+        img = rng.integers(0, 256, size=(7, 8)).astype(np.uint8)
+        assert (sobel_magnitude(gray(img)).pixels == hand_sobel(img)).all()
+
+    def test_requires_grayscale(self):
+        with pytest.raises(ValueError, match="expected a grayscale raster"):
+            sobel_magnitude(rgb(np.zeros((4, 4, 3))))
+
     def test_constant_image_is_zero(self):
         assert (sobel_magnitude(gray(np.full((8, 8), 123))).pixels == 0).all()
 
