@@ -61,6 +61,12 @@ class LaneConfig:
         if not 0 <= self.horizontal_margin_deg < 90:
             raise ValueError("horizontal_margin_deg must be a finite angle in [0, 90), "
                              f"got {self.horizontal_margin_deg!r}")
+        for name, lo, hi in (("blur_passes", 0, math.inf), ("edge_threshold", 0, 255),
+                             ("min_votes", 1, math.inf)):
+            value = getattr(self, name)
+            if not (isinstance(value, int) and not isinstance(value, bool) and lo <= value <= hi):
+                bounds = f"at least {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+                raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
 
 
 def _rho_bins(xs, ys, theta_deg: float, rho_res: float, offs: int):
@@ -516,20 +522,30 @@ def largest_rectangle(img: Raster, edge_threshold: int = 60, min_fill: float = 0
 
 
 def _lane_edges(frame: Raster, cfg: LaneConfig):
-    edges = threshold_binary(sobel_magnitude(blurred_gray(frame, cfg.blur_passes)),
-                             cfg.edge_threshold)
-    h, w = edges.pixels.shape
+    """(edge map, horizon row): the edges of ``frame`` inside the road
+    trapezoid, which widens from ``top_width_frac`` of the width at the
+    horizon row to the whole bottom row; every pixel outside it is 0.
+
+    The edge stage runs only from ``blur_passes`` + 1 rows above the horizon
+    down: each 3x3 pass (the blurs, then Sobel) reads one row further up, so
+    the rows from the horizon down equal those of the whole frame's edges.
+    """
+    h, w = frame.height, frame.width
     horizon_y = int(round(cfg.horizon_frac * (h - 1)))
+    top = max(horizon_y - cfg.blur_passes - 1, 0)
+    edges = threshold_binary(sobel_magnitude(blurred_gray(Raster(frame.pixels[top:]),
+                                                          cfg.blur_passes)),
+                             cfg.edge_threshold)
     cx = (w - 1) / 2.0
     top_half = cfg.top_width_frac * w / 2.0
     bottom_half = (w - 1) / 2.0
-    ys = np.arange(h, dtype=np.float64)
-    denom = max((h - 1) - horizon_y, 1)
-    frac = np.clip((ys - horizon_y) / denom, 0.0, 1.0)
+    ys = np.arange(horizon_y, h, dtype=np.float64)
+    frac = (ys - horizon_y) / max((h - 1) - horizon_y, 1)
     half = top_half + frac * (bottom_half - top_half)
     xs = np.arange(w, dtype=np.float64)
-    inside = (np.abs(xs[None, :] - cx) <= half[:, None]) & (ys[:, None] >= horizon_y)
-    masked = np.where(inside, edges.pixels, 0).astype(np.uint8)
+    inside = np.abs(xs[None, :] - cx) <= half[:, None]
+    masked = np.zeros((h, w), dtype=np.uint8)
+    np.copyto(masked[horizon_y:], edges.pixels[horizon_y - top:], where=inside)
     return Raster(masked), horizon_y
 
 

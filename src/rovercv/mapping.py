@@ -338,7 +338,8 @@ def _search(global_grid: np.ndarray, partial: OccupancyMap, rotations, pool: int
     cells, -1.0 when there is none, and (ay, ax) is its first index, row-major,
     into the rotation's (H + h - 1, W + w - 1) counts (``_Correlator``).
     Each rotation is correlated on the smallest 2·3·5-smooth shape that fits
-    its own turned grid; a correlator is rebuilt only when that shape changes.
+    its own turned grid; the search builds one correlator per shape, and frees
+    them all when it ends.
     """
     if not rotations or not partial.known_count():
         return
@@ -347,13 +348,13 @@ def _search(global_grid: np.ndarray, partial: OccupancyMap, rotations, pool: int
     gh, gw = global_grid.shape
     cells = _known_cells(partial)
     n_free, n_occupied = cells[2], len(cells[0]) - cells[2]
-    code, counts = _code(n_free + n_occupied), None
+    code, correlators = _code(n_free + n_occupied), {}
     for rot in rotations:
         frame, grid = _rotated(partial, rot, cells, pool, code)
         shape = (_smooth_size(gh + grid.shape[0] - 1), _smooth_size(gw + grid.shape[1] - 1))
-        if counts is None or counts.shape != shape:
-            counts = _Correlator(global_grid, n_free, n_occupied, shape)
-        overlap, match = counts(grid)
+        if shape not in correlators:
+            correlators[shape] = _Correlator(global_grid, n_free, n_occupied, shape)
+        overlap, match = correlators[shape](grid)
         invalid = overlap < min_overlap
         scores = np.divide(match, np.maximum(overlap, 1, out=overlap), out=match)
         scores[invalid] = -1.0
@@ -450,8 +451,9 @@ def localize(global_map: OccupancyMap, partial: OccupancyMap,
     pooled cells, then the 4 best and each degree within 2 of them are
     re-scored at full resolution, where ties keep the smallest (rotation, dy, dx).
 
-    Each stage scores one rotation at a time, so its working set does not
-    grow with their number. Per rotation, the partial's known cells are
+    Each stage scores one rotation at a time, and computes the global grid's
+    spectra once per FFT shape its rotations need, so its working set grows
+    with the number of those shapes. Per rotation, the partial's known cells are
     turned straight into a pooled, flipped grid; one forward and one inverse
     FFT give the packed correlation X = ff + B·(fo + of) + B²·oo of grids
     coded FREE = 1, OCCUPIED = B (``_Correlator``), whose base-B digits hold

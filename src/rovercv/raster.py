@@ -219,6 +219,9 @@ def _resize_bilinear(arr: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
 
 
 def resize_bilinear(img: Raster, width: int, height: int) -> Raster:
-    """Bilinear resize, rounded back to 8-bit."""
+    """Bilinear resize, rounded back to 8-bit; at the same size, a copy,
+    which is what the resample gives there."""
+    if (width, height) == (img.width, img.height):
+        return Raster(img.pixels.copy())
     out = _resize_bilinear(img.pixels, width, height)
     return Raster(np.clip(np.rint(out), 0, 255).astype(np.uint8))

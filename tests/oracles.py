@@ -8,8 +8,10 @@ the shared step itself: ``per_rotation_localize`` and ``pooled_coarse_localize``
 rotate each heading alone with ``_rotate_map``, which turns quarter turns
 as whole grids (``_rot90_map``), and reuse the package's pooling and overlap
 threshold; ``per_window_features`` reuses the block grid, the HOG planes
-and the bilinear resample of a single patch; ``full_search_best_rightward``
-picks the lane line from a full-range ``hough_lines``;
+and the bilinear resample of a single patch; ``full_frame_lane_edges`` runs
+the package's blur, Sobel and threshold on the whole frame, where the lane
+search crops it below the horizon; ``full_search_best_rightward`` picks the
+lane line from a full-range ``hough_lines``;
 ``list_detect_sequence`` scores and fuses each frame with the detector's own
 stages; and ``component_markers`` splits the image at the package's Otsu
 threshold.
@@ -41,7 +43,13 @@ from rovercv.mapping import (
     _required_overlap,
     _smooth_size,
 )
-from rovercv.raster import _resize_bilinear
+from rovercv.raster import (
+    Raster,
+    _resize_bilinear,
+    blurred_gray,
+    sobel_magnitude,
+    threshold_binary,
+)
 from rovercv.segmentation import LabelMask, WatershedResult, otsu_threshold
 
 _N4 = ((-1, 0), (1, 0), (0, -1), (0, 1))
@@ -322,6 +330,26 @@ def per_peak_hough_lines(edges, rho_res=1.0, theta_res=1.0, min_votes=1, fit=_tl
             lines.append(HoughLine(rho=rho, theta_deg=theta_deg, votes=votes))
     lines.sort(key=lambda ln: (-ln.votes, ln.theta_deg, ln.rho))
     return lines
+
+
+def full_frame_lane_edges(frame, cfg):
+    """(edge map, horizon row): the whole frame's edges, then every pixel
+    outside the road trapezoid or above the horizon row set to 0."""
+    edges = threshold_binary(sobel_magnitude(blurred_gray(frame, cfg.blur_passes)),
+                             cfg.edge_threshold)
+    h, w = edges.pixels.shape
+    horizon_y = int(round(cfg.horizon_frac * (h - 1)))
+    cx = (w - 1) / 2.0
+    top_half = cfg.top_width_frac * w / 2.0
+    bottom_half = (w - 1) / 2.0
+    ys = np.arange(h, dtype=np.float64)
+    denom = max((h - 1) - horizon_y, 1)
+    frac = np.clip((ys - horizon_y) / denom, 0.0, 1.0)
+    half = top_half + frac * (bottom_half - top_half)
+    xs = np.arange(w, dtype=np.float64)
+    inside = (np.abs(xs[None, :] - cx) <= half[:, None]) & (ys[:, None] >= horizon_y)
+    masked = np.where(inside, edges.pixels, 0).astype(np.uint8)
+    return Raster(masked), horizon_y
 
 
 def full_search_best_rightward(edges, cfg):

@@ -32,6 +32,9 @@ _X, _Y = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 1.0], [3.0, 0.0]]), np.array([0
     (lambda v: _patch(depth_cm=v), "depth_cm"),
     (lambda v: _patch(offset_cm=v), "offset_cm"),
     (lambda v: LaneConfig(top_width_frac=v), "top_width_frac"),
+    (lambda v: LaneConfig(blur_passes=v), "blur_passes"),
+    (lambda v: LaneConfig(edge_threshold=v), "edge_threshold"),
+    (lambda v: LaneConfig(min_votes=v), "min_votes"),
     (lambda v: SegmentConfig(kmeans_tol=v), "kmeans_tol"),
     (lambda v: SegmentConfig(marker_dist_frac=v), "marker_dist_frac"),
 ])
@@ -43,6 +46,13 @@ def test_non_finite_input_raises_naming_the_field(make, field, value):
 @pytest.mark.parametrize("make, field", [
     (lambda: LaneConfig(top_width_frac=-0.5), "top_width_frac"),
     (lambda: LaneConfig(top_width_frac=0.0), "top_width_frac"),
+    (lambda: LaneConfig(blur_passes=1.5), "blur_passes"),
+    (lambda: LaneConfig(blur_passes=True), "blur_passes"),
+    (lambda: LaneConfig(edge_threshold=300), "edge_threshold"),
+    (lambda: LaneConfig(edge_threshold=-1), "edge_threshold"),
+    (lambda: LaneConfig(edge_threshold=60.0), "edge_threshold"),
+    (lambda: LaneConfig(min_votes=0), "min_votes"),
+    (lambda: LaneConfig(min_votes=False), "min_votes"),
     (lambda: SegmentConfig(kmeans_max_iter=0), "kmeans_max_iter"),
     (lambda: SegmentConfig(kmeans_tol=-1e-4), "kmeans_tol"),
     (lambda: SegmentConfig(marker_dist_frac=-1.0), "marker_dist_frac"),

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rovercv.geometry as geometry
@@ -9,6 +9,7 @@ from oracles import (
     bfs_label_components,
     float_tls_line,
     flood_enclosed_area,
+    full_frame_lane_edges,
     full_search_best_rightward,
     line_residual,
     per_component_contours,
@@ -643,6 +644,37 @@ class TestDetectLane:
         monkeypatch.setattr(geometry, "_best_rightward", full_search_best_rightward)
         assert lanes == [detect_lane(frame, cfg) for frame in frames]
         assert all(lane.left.valid and lane.right.valid for lane in lanes[:4])
+
+
+class TestLaneEdges:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 12), st.booleans(), st.floats(0.0, 1.0),
+           st.integers(0, 3), st.integers(0, 255), st.floats(0.05, 2.0),
+           st.integers(0, 2**32 - 1))
+    @example(12, 12, True, 0.0, 1, 60, 0.2, 0)
+    @example(12, 12, False, 1.0, 3, 60, 0.2, 1)
+    @example(1, 7, True, 0.6, 2, 0, 0.2, 2)
+    def test_equals_full_frame_oracle(self, h, w, color, horizon_frac, passes, threshold,
+                                      top_width_frac, seed):
+        # the crop above the horizon leaves every row the search reads as it was
+        rng = np.random.default_rng(seed)
+        frame = Raster(rng.integers(0, 256, (h, w, 3) if color else (h, w)).astype(np.uint8))
+        cfg = LaneConfig(horizon_frac=horizon_frac, top_width_frac=top_width_frac,
+                         blur_passes=passes, edge_threshold=threshold)
+        edges, horizon_y = _lane_edges(frame, cfg)
+        want, want_y = full_frame_lane_edges(frame, cfg)
+        assert horizon_y == want_y
+        assert edges.pixels.shape == want.pixels.shape
+        assert (edges.pixels == want.pixels).all()
+
+    @pytest.mark.parametrize("horizon_frac", [0.0, 0.6, 1.0])
+    @pytest.mark.parametrize("passes", [0, 1, 3])
+    def test_road_frame_equals_full_frame_oracle(self, horizon_frac, passes):
+        frame, _ = road_frame()
+        cfg = LaneConfig(horizon_frac=horizon_frac, blur_passes=passes)
+        edges, horizon_y = _lane_edges(frame, cfg)
+        want, want_y = full_frame_lane_edges(frame, cfg)
+        assert horizon_y == want_y and (edges.pixels == want.pixels).all()
 
 
 class TestLaneConfig:

@@ -499,6 +499,27 @@ class TestSharedSpectraSearch:
         pooled = [_pool(_rotate_map(m, rot).grid, 3) for rot in rotations]
         assert got == list(_best_placements(_pool(g, 3), pooled, min_overlap))
 
+    def test_search_builds_one_correlator_per_shape(self, monkeypatch):
+        # a 9x31 partial turns between three transform shapes, each met again
+        # after another one
+        built = []
+
+        class Recording(_Correlator):
+            def __init__(self, global_grid, n_free, n_occupied, shape):
+                super().__init__(global_grid, n_free, n_occupied, shape)
+                built.append(shape)
+
+        monkeypatch.setattr(mapping, "_Correlator", Recording)
+        rng = np.random.default_rng(6)
+        g = tri_state(rng, (60, 50), 0.8, 0.3)
+        m = OccupancyMap(cell_cm=2.0, origin=(0.0, 0.0), grid=tri_state(rng, (9, 31), 0.9, 0.3))
+        rotations = [0, 90, 0, 37, 90, 180, 37, 270]
+        got = [(score, at if score >= 0 else None)
+               for _, score, at in _search(g, m, rotations, 1, 3)]
+        grids = [_rotate_map(m, rot).grid for rot in rotations]
+        assert got == list(_best_placements(g, grids, 3))
+        assert len(built) == len(set(built)) == 3
+
     @settings(max_examples=100, deadline=None)
     @given(localize_cases())
     @example((make_global_map(size=20),
@@ -523,8 +544,9 @@ class TestSharedSpectraSearch:
         # a room of the benchmark's size with a partial about as large as its
         # episodes build, and the README's 300x300 map localizing all of
         # itself, where the counts outgrow the packed layout. The oracle is
-        # the per-heading search; its traced peaks were 3.09 and 36.5 MB, this
-        # search's 2.56 and 33.3 MB (numpy 2.4)
+        # the per-heading search; its traced peaks were 3.55 and 36.5 MB, this
+        # search's 3.32 and 39.1 MB (numpy 2.4), as each stage keeps the global
+        # spectra of every FFT shape it meets
         world = make_global_map(seed=7, size=size)
         part = _rotate_map(cutout(world, *cut), 323)
         layouts = recorded_layouts(monkeypatch)

@@ -9,6 +9,7 @@ from oracles import convolve_at
 from rovercv.geometry import LaneConfig, detect_lane, largest_rectangle
 from rovercv.raster import (
     Raster,
+    _resize_bilinear,
     blurred_gray,
     read_pnm,
     resize_bilinear,
@@ -117,16 +118,20 @@ class TestBlurredGray:
         assert (sobel_magnitude(blurred).pixels == hand_sobel(blurred.pixels)).all()
 
 
-@pytest.mark.parametrize("run, passes", [
-    (lambda img: blurred_gray(img, -2), -2),
-    (lambda img: detect_lane(img, LaneConfig(blur_passes=-1)), -1),
-    (lambda img: segment_floor(img, "otsu", SegmentConfig(blur_passes=-3)), -3),
-    (lambda img: largest_rectangle(img, blur_passes=-1), -1),
+@pytest.mark.parametrize("run, message", [
+    (lambda img: blurred_gray(img, -2), "blur passes must be non-negative, got -2"),
+    (lambda img: detect_lane(img, LaneConfig(blur_passes=-1)),
+     "blur_passes must be an integer at least 0, got -1"),
+    (lambda img: segment_floor(img, "otsu", SegmentConfig(blur_passes=-3)),
+     "blur passes must be non-negative, got -3"),
+    (lambda img: largest_rectangle(img, blur_passes=-1),
+     "blur passes must be non-negative, got -1"),
 ], ids=["blurred_gray", "lanes", "segmentation", "calibration"])
-def test_negative_blur_passes_rejected(run, passes):
-    # blurred_gray is the one blur of lanes, segmentation and calibration
+def test_negative_blur_passes_rejected(run, message):
+    # blurred_gray is the one blur of lanes, segmentation and calibration; the
+    # lane config rejects the passes first, as they size its edge stage's crop
     img = rgb(np.random.default_rng(3).integers(0, 256, (24, 32, 3)))
-    with pytest.raises(ValueError, match=f"blur passes must be non-negative, got {passes}$"):
+    with pytest.raises(ValueError, match=f"{message}$"):
         run(img)
 
 
@@ -231,10 +236,20 @@ class TestPnm:
 
 
 class TestResize:
-    def test_same_size_is_identity(self):
-        rng = np.random.default_rng(5)
-        img = random_gray(rng, 8, 8)
-        assert (resize_bilinear(img, 8, 8).pixels == img.pixels).all()
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 40), st.booleans(), st.integers(0, 2**32 - 1))
+    @example(1, 1, False, 0)
+    @example(1, 9, True, 1)
+    @example(9, 1, False, 2)
+    @example(96, 1280, True, 3)
+    def test_same_size_is_identity(self, h, w, color, seed):
+        # a copy of the input, which is what the bilinear resample gives there
+        px = np.random.default_rng(seed).integers(0, 256, (h, w, 3) if color else (h, w))
+        img = Raster(px.astype(np.uint8))
+        out = resize_bilinear(img, w, h).pixels
+        assert not np.shares_memory(out, img.pixels)
+        assert (out == img.pixels).all()
+        assert (np.rint(_resize_bilinear(img.pixels, w, h)) == img.pixels).all()
 
     def test_constant_preserved(self):
         img = gray(np.full((16, 10), 99))
