@@ -16,7 +16,7 @@ import numpy as np
 from .classifier import LinearModel, svm_score_many
 from .features import FeatureConfig, hog_block_grid, hog_planes, window_features
 from .geometry import _bboxes, label_components
-from .raster import Raster, resize_bilinear
+from .raster import Raster, _require_int, resize_bilinear
 
 # sigma per box chosen so the half-maximum contour of one splat spans exactly
 # the box extent; threshold_boxes(heatmap_fuse([box])) then returns the box.
@@ -69,8 +69,7 @@ class DetectorConfig:
     def __post_init__(self):
         if not self.min_score < math.inf:  # nan or inf would keep no window
             raise ValueError(f"min_score must be finite or -inf, got {self.min_score!r}")
-        if self.frame_memory < 1:
-            raise ValueError("frame_memory must be at least 1")
+        _require_int("frame_memory", self.frame_memory, 1)
 
 
 def plan_windows(frame_w: int, frame_h: int, bands,

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .raster import Raster, _resize_bilinear, to_grayscale
+from .raster import Raster, _require_int, _resize_bilinear, to_grayscale
 
 HOG_EPS = 1e-6
 HOG_CLIP = 0.2
@@ -22,12 +22,9 @@ class HogParams:
     per_channel: bool = False
 
     def __post_init__(self):
-        if self.cell_px < 2:
-            raise ValueError("cell_px must be at least 2")
-        if self.bins < 2:
-            raise ValueError("bins must be at least 2")
-        if self.block_cells < 1:
-            raise ValueError("block_cells must be at least 1")
+        _require_int("cell_px", self.cell_px, 2)
+        _require_int("bins", self.bins, 2)
+        _require_int("block_cells", self.block_cells, 1)
 
 
 @dataclass(frozen=True)

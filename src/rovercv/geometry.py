@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import Raster, blurred_gray, sobel_magnitude, threshold_binary
+from .raster import Raster, _require_int, blurred_gray, sobel_magnitude, threshold_binary
 
 
 @dataclass(frozen=True)
@@ -61,12 +61,9 @@ class LaneConfig:
         if not 0 <= self.horizontal_margin_deg < 90:
             raise ValueError("horizontal_margin_deg must be a finite angle in [0, 90), "
                              f"got {self.horizontal_margin_deg!r}")
-        for name, lo, hi in (("blur_passes", 0, math.inf), ("edge_threshold", 0, 255),
-                             ("min_votes", 1, math.inf)):
-            value = getattr(self, name)
-            if not (isinstance(value, int) and not isinstance(value, bool) and lo <= value <= hi):
-                bounds = f"at least {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
-                raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
+        _require_int("blur_passes", self.blur_passes, 0)
+        _require_int("edge_threshold", self.edge_threshold, 0, 255)
+        _require_int("min_votes", self.min_votes, 1)
 
 
 def _rho_bins(xs, ys, theta_deg: float, rho_res: float, offs: int):

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .raster import Raster, _whole_in_range, read_pnm, write_pnm
+from .raster import Raster, _require_int, _whole_in_range, read_pnm, write_pnm
 from .segmentation import LabelMask, SegmentConfig, segment_floor
 
 UNKNOWN, FREE, OCCUPIED = 0, 1, 2
@@ -373,9 +373,7 @@ class LocalizeConfig:
     min_overlap_frac: float = 0.5
 
     def __post_init__(self):
-        if not isinstance(self.min_known, int) or isinstance(self.min_known, bool) \
-                or self.min_known < 0:
-            raise ValueError(f"min_known must be a non-negative integer, not {self.min_known!r}")
+        _require_int("min_known", self.min_known, 0)
         # both are fractions of cells, so a value above 1 could never be met
         for name in ("min_score", "min_overlap_frac"):
             if not 0.0 <= getattr(self, name) <= 1.0:

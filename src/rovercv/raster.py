@@ -5,6 +5,7 @@ detection) operates on these rasters. Pixels are stored row-major as numpy
 uint8, shape (h, w) for grayscale or (h, w, 3) for RGB.
 """
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,6 +20,14 @@ def _whole_in_range(values: np.ndarray, lo: int, hi: int) -> bool:
     truncate what fails it."""
     return not values.size or bool(values.min() >= lo and values.max() <= hi and (
         np.issubdtype(values.dtype, np.integer) or (values == np.rint(values)).all()))
+
+
+def _require_int(name: str, value, lo: int, hi: float = math.inf):
+    """Raise a ValueError naming ``name`` unless ``value`` is an int in [lo, hi].
+    A bool is not taken for an int, and neither is a whole float."""
+    if not (isinstance(value, int) and not isinstance(value, bool) and lo <= value <= hi):
+        bounds = f"at least {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)

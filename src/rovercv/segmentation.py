@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .raster import Raster, _whole_in_range, blurred_gray, sobel_magnitude
+from .raster import Raster, _require_gray, _require_int, _whole_in_range, blurred_gray, sobel_magnitude
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,8 +60,9 @@ class SegmentConfig:
     marker_dist_frac: float = 0.5
 
     def __post_init__(self):
-        if not self.kmeans_max_iter >= 1:
-            raise ValueError(f"kmeans_max_iter must be at least 1, got {self.kmeans_max_iter!r}")
+        _require_int("blur_passes", self.blur_passes, 0)
+        _require_int("kmeans_k", self.kmeans_k, 1)
+        _require_int("kmeans_max_iter", self.kmeans_max_iter, 1)
         if not 0 <= self.kmeans_tol < math.inf:
             raise ValueError("kmeans_tol must be a finite number at least 0, "
                              f"got {self.kmeans_tol!r}")
@@ -97,57 +98,47 @@ def otsu_from_histogram(hist) -> OtsuResult:
 
 def otsu_threshold(img: Raster) -> OtsuResult:
     """Otsu's optimal threshold for a grayscale raster."""
-    if img.channels != 1:
-        raise ValueError("expected a grayscale raster")
+    _require_gray(img)
     hist = np.bincount(img.pixels.ravel(), minlength=256)
     return otsu_from_histogram(hist)
 
 
-def kmeans_points(points: np.ndarray, k: int, max_iter: int = 100, tol: float = 1e-4):
-    """Lloyd iterations on row vectors.
+def kmeans_segment(img: Raster, k: int, max_iter: int = 100, tol: float = 1e-4) -> LabelMask:
+    """Lloyd's k-means on the gray levels of a grayscale raster.
 
-    Seeds are spread evenly over the lexicographically sorted distinct points, so
-    runs are deterministic without an RNG. Returns (labels, centers, sse_history)
-    where labels are renumbered so center first-components ascend.
+    Seeds spread evenly over the sorted distinct levels, so runs need no RNG;
+    labels are numbered so centres ascend. The steps run on the 256-bin
+    histogram, as each level takes one label and a centre is its members'
+    exact integer sum over their count. Only the stop test's sum of squared
+    distances is taken per pixel, in raster order, so the labels equal those
+    of clustering every pixel alone (``tests/oracles.py::pixel_kmeans``).
     """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2:
-        raise ValueError("points must be a 2-D array")
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    distinct = np.unique(pts, axis=0)
-    if k > len(distinct):
-        raise ValueError(f"insufficient distinct pixels: k={k} but only {len(distinct)} distinct values")
-    seed_idx = np.rint(np.linspace(0, len(distinct) - 1, k)).astype(int)
-    centers = distinct[seed_idx].copy()
+    _require_gray(img)
+    _require_int("k", k, 1)
+    _require_int("max_iter", max_iter, 1)
+    pixels = img.pixels.ravel()
+    hist = np.bincount(pixels, minlength=256)
+    present = np.flatnonzero(hist)
+    if k > len(present):
+        raise ValueError(f"insufficient distinct pixels: k={k} but only {len(present)} distinct values")
+    centers = present[np.rint(np.linspace(0, len(present) - 1, k)).astype(int)].astype(np.float64)
 
-    history = []
-    labels = np.zeros(len(pts), dtype=np.int64)
+    levels = np.arange(256.0)
     prev_sse = np.inf
     for _ in range(max_iter):
-        d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        labels = d2.argmin(axis=1)
-        sse = float(d2[np.arange(len(pts)), labels].sum())
-        history.append(sse)
-        for j in range(k):
-            members = pts[labels == j]
-            if len(members):
-                centers[j] = members.mean(axis=0)
+        d2 = (levels[:, None] - centers) ** 2
+        nearest = d2.argmin(axis=1)
+        sse = float(d2.min(axis=1)[pixels].sum())
+        counts = np.bincount(nearest, hist, minlength=k)
+        filled = counts > 0
+        centers[filled] = np.bincount(nearest, hist * levels, minlength=k)[filled] / counts[filled]
         if prev_sse - sse < tol:
             break
         prev_sse = sse
 
-    order = np.lexsort(tuple(centers[:, c] for c in reversed(range(centers.shape[1]))))
-    remap = np.empty(k, dtype=np.int64)
-    remap[order] = np.arange(k)
-    return remap[labels], centers[order], history
-
-
-def kmeans_segment(img: Raster, k: int, max_iter: int = 100, tol: float = 1e-4) -> LabelMask:
-    """Cluster pixel vectors (intensity or RGB) into k regions."""
-    pts = img.pixels.reshape(-1, img.channels).astype(np.float64)
-    labels, _, _ = kmeans_points(pts, k, max_iter=max_iter, tol=tol)
-    return LabelMask(labels.reshape(img.height, img.width), num_labels=k)
+    rank = np.empty(k, dtype=np.int64)
+    rank[np.argsort(centers, kind="stable")] = np.arange(k)
+    return LabelMask(rank[nearest][img.pixels], num_labels=k)
 
 
 def watershed_segment(img: Raster, markers: LabelMask) -> WatershedResult:
@@ -164,8 +155,7 @@ def watershed_segment(img: Raster, markers: LabelMask) -> WatershedResult:
     changes, so a second copy could only pop after the first had labeled it.
     The cost is O(h * w * log(frontier)).
     """
-    if img.channels != 1:
-        raise ValueError("expected a grayscale raster")
+    _require_gray(img)
     if markers.labels.shape != img.pixels.shape:
         raise ValueError("marker dimensions must match the image")
     seeds = markers.labels

@@ -166,6 +166,46 @@ def best_1d_two_means_split(values):
     return best_split
 
 
+def pixel_kmeans(points: np.ndarray, k: int, max_iter: int = 100, tol: float = 1e-4):
+    """Lloyd iterations on row vectors.
+
+    Seeds are spread evenly over the lexicographically sorted distinct points, so
+    runs are deterministic without an RNG. Returns (labels, centers, sse_history)
+    where labels are renumbered so center first-components ascend.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2:
+        raise ValueError("points must be a 2-D array")
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    distinct = np.unique(pts, axis=0)
+    if k > len(distinct):
+        raise ValueError(f"insufficient distinct pixels: k={k} but only {len(distinct)} distinct values")
+    seed_idx = np.rint(np.linspace(0, len(distinct) - 1, k)).astype(int)
+    centers = distinct[seed_idx].copy()
+
+    history = []
+    labels = np.zeros(len(pts), dtype=np.int64)
+    prev_sse = np.inf
+    for _ in range(max_iter):
+        d2 = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        labels = d2.argmin(axis=1)
+        sse = float(d2[np.arange(len(pts)), labels].sum())
+        history.append(sse)
+        for j in range(k):
+            members = pts[labels == j]
+            if len(members):
+                centers[j] = members.mean(axis=0)
+        if prev_sse - sse < tol:
+            break
+        prev_sse = sse
+
+    order = np.lexsort(tuple(centers[:, c] for c in reversed(range(centers.shape[1]))))
+    remap = np.empty(k, dtype=np.int64)
+    remap[order] = np.arange(k)
+    return remap[labels], centers[order], history
+
+
 def segment_line_params(x0, y0, x1, y1):
     """Analytic (rho, theta_deg in [0, 180)) of the line through two points."""
     dx, dy = x1 - x0, y1 - y0

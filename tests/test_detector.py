@@ -332,7 +332,7 @@ class TestDetection:
         assert results == list_detect_sequence(frames, model, plan, cfg)
 
     def test_frame_memory_below_one_rejected(self):
-        with pytest.raises(ValueError, match="frame_memory must be at least 1"):
+        with pytest.raises(ValueError, match="^frame_memory must be an integer at least 1, got 0$"):
             DetectorConfig(frame_memory=0)
 
     def test_default_bands_on_720p_frame(self, car_model):

@@ -1,11 +1,15 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
 from rovercv.calibration import estimate_focal
 from rovercv.classifier import svm_train
 from rovercv.detector import DetectorConfig
+from rovercv.features import HogParams
 from rovercv.geometry import LaneConfig
-from rovercv.mapping import GroundPatch
+from rovercv.mapping import GroundPatch, LocalizeConfig
 from rovercv.segmentation import LabelMask, SegmentConfig
 from rovercv.steering import AngleSeries, smooth_series
 
@@ -61,3 +65,31 @@ def test_non_finite_input_raises_naming_the_field(make, field, value):
 def test_out_of_range_config_raises_naming_the_field(make, field):
     with pytest.raises(ValueError, match=f"^{field} must "):
         make()
+
+
+@pytest.mark.parametrize("config, field, lo, hi", [
+    (LaneConfig, "blur_passes", 0, math.inf),
+    (LaneConfig, "edge_threshold", 0, 255),
+    (LaneConfig, "min_votes", 1, math.inf),
+    (SegmentConfig, "blur_passes", 0, math.inf),
+    (SegmentConfig, "kmeans_k", 1, math.inf),
+    (SegmentConfig, "kmeans_max_iter", 1, math.inf),
+    (DetectorConfig, "frame_memory", 1, math.inf),
+    (HogParams, "cell_px", 2, math.inf),
+    (HogParams, "bins", 2, math.inf),
+    (HogParams, "block_cells", 1, math.inf),
+    (LocalizeConfig, "min_known", 0, math.inf),
+], ids=lambda v: v.__name__ if isinstance(v, type) else None)
+@pytest.mark.parametrize("bad", [
+    lambda lo: lo - 1, lambda lo: lo + 0.5, lambda lo: float(lo), lambda lo: True,
+    lambda lo: float("nan"), lambda lo: float("inf"),
+], ids=["below", "fraction", "whole_float", "bool", "nan", "inf"])
+def test_integer_config_field_takes_only_an_int_in_range(config, field, lo, hi, bad):
+    # one check behind every integer config field: a bool or a float is no
+    # integer, even where it compares equal to one
+    config(**{field: lo})
+    value = bad(lo)
+    bounds = f"at least {lo}" if hi == math.inf else f"in [{lo}, {hi}]"
+    with pytest.raises(ValueError, match=f"^{field} must be an integer {re.escape(bounds)}, "
+                                         f"got {re.escape(repr(value))}$"):
+        config(**{field: value})

@@ -585,7 +585,7 @@ class TestSharedSpectraSearch:
 
     @pytest.mark.parametrize("value", [-3, 2.5, 50.0, True, "50", None])
     def test_min_known_must_be_a_non_negative_int(self, value):
-        with pytest.raises(ValueError, match="min_known must be a non-negative integer"):
+        with pytest.raises(ValueError, match="^min_known must be an integer at least 0, got "):
             LocalizeConfig(min_known=value)
 
 

@@ -123,13 +123,14 @@ class TestBlurredGray:
     (lambda img: detect_lane(img, LaneConfig(blur_passes=-1)),
      "blur_passes must be an integer at least 0, got -1"),
     (lambda img: segment_floor(img, "otsu", SegmentConfig(blur_passes=-3)),
-     "blur passes must be non-negative, got -3"),
+     "blur_passes must be an integer at least 0, got -3"),
     (lambda img: largest_rectangle(img, blur_passes=-1),
      "blur passes must be non-negative, got -1"),
 ], ids=["blurred_gray", "lanes", "segmentation", "calibration"])
 def test_negative_blur_passes_rejected(run, message):
     # blurred_gray is the one blur of lanes, segmentation and calibration; the
-    # lane config rejects the passes first, as they size its edge stage's crop
+    # lane and segment configs reject the passes first, as they check every
+    # integer field
     img = rgb(np.random.default_rng(3).integers(0, 256, (24, 32, 3)))
     with pytest.raises(ValueError, match=f"{message}$"):
         run(img)

@@ -9,6 +9,7 @@ from oracles import (
     brute_otsu,
     component_markers,
     heap_watershed,
+    pixel_kmeans,
 )
 from scenes import floor_box_scene, stain_scene
 from rovercv.raster import Raster, blurred_gray, sobel_magnitude
@@ -17,7 +18,6 @@ from rovercv.segmentation import (
     SegmentConfig,
     _derive_markers,
     _distance_to_outside,
-    kmeans_points,
     kmeans_segment,
     otsu_from_histogram,
     otsu_threshold,
@@ -83,17 +83,26 @@ class TestKmeans:
         assert (mask.labels == expected).all()
 
     def test_objective_non_increasing(self):
+        # each added step leaves the mask's within-cluster squared error no larger
         rng = np.random.default_rng(11)
-        pts = rng.integers(0, 256, size=(300, 3)).astype(float)
-        _, _, history = kmeans_points(pts, 4, max_iter=50, tol=0.0)
-        assert all(a >= b - 1e-9 for a, b in zip(history, history[1:]))
+        img = gray(rng.integers(0, 256, size=(20, 15)))
+        px = img.pixels.astype(np.float64)
+
+        def within(mask):
+            return sum(((px[mask.labels == j] - px[mask.labels == j].mean()) ** 2).sum()
+                       for j in np.unique(mask.labels))
+
+        costs = [within(kmeans_segment(img, 4, max_iter=n, tol=0.0)) for n in range(1, 30)]
+        assert all(a >= b - 1e-9 for a, b in zip(costs, costs[1:]))
+        assert costs[0] > costs[-1]
 
     def test_final_assignment_is_fixed_point(self):
         rng = np.random.default_rng(12)
-        pts = np.concatenate([rng.normal(20, 2, (50, 1)), rng.normal(200, 2, (50, 1))])
-        labels, centers, _ = kmeans_points(pts, 2, max_iter=100, tol=1e-12)
-        d2 = ((pts[:, None, :] - centers[None]) ** 2).sum(axis=2)
-        assert (d2.argmin(axis=1) == labels).all()
+        values = np.concatenate([rng.normal(20, 2, 50), rng.normal(200, 2, 50)])
+        px = np.clip(np.rint(values), 0, 255).reshape(10, 10)
+        mask = kmeans_segment(gray(px), 2, max_iter=100, tol=1e-12)
+        means = np.array([px[mask.labels == j].mean() for j in range(2)])
+        assert ((px[..., None] - means) ** 2).argmin(axis=2).tolist() == mask.labels.tolist()
 
     def test_insufficient_distinct_values(self):
         with pytest.raises(ValueError, match="insufficient distinct pixels"):
@@ -103,6 +112,72 @@ class TestKmeans:
         img = gray(np.repeat([200, 10], 50).reshape(10, 10))
         mask = kmeans_segment(img, 2)
         assert mask.labels[0, 0] == 1 and mask.labels[-1, -1] == 0
+
+    def test_rgb_raster_rejected(self):
+        img = Raster(np.random.default_rng(13).integers(0, 256, (6, 6, 3)).astype(np.uint8))
+        with pytest.raises(ValueError, match="^expected a grayscale raster$"):
+            kmeans_segment(img, 2)
+
+    @pytest.mark.parametrize("field, k, max_iter", [
+        ("max_iter", 2, 0), ("max_iter", 2, -1), ("max_iter", 2, 1.5), ("max_iter", 2, True),
+        ("k", 0, 100), ("k", 2.0, 100), ("k", True, 100),
+    ])
+    def test_bad_count_rejected(self, field, k, max_iter):
+        img = gray(np.arange(16).reshape(4, 4))
+        with pytest.raises(ValueError, match=f"^{field} must be an integer at least 1, got "):
+            kmeans_segment(img, k, max_iter=max_iter)
+
+
+def _gray_levels(kind, h, w, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "noise":
+        return rng.integers(0, 256, (h, w))
+    if kind == "gaussian":
+        return np.clip(np.rint(rng.normal(128, 24, (h, w))), 0, 255)
+    if kind == "quantized":  # few levels, so k often exceeds them
+        return rng.integers(0, 5, (h, w)) * 60
+    return np.linspace(0, 255, h * w).round().reshape(h, w)  # a smooth gradient
+
+
+class TestKmeansMatchesPixelOracle:
+    """The histogram steps give the labels of clustering each pixel alone."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 70), st.integers(1, 70),
+           st.sampled_from(["noise", "gaussian", "quantized", "gradient"]), st.integers(1, 7),
+           st.sampled_from([0.0, 1e-4, 5.0]), st.sampled_from([1, 3, 100]),
+           st.integers(0, 2**32 - 1))
+    @example(480, 640, "noise", 3, 1e-4, 100, 0)  # a VGA noise frame
+    @example(480, 640, "gradient", 2, 1e-4, 100, 0)
+    def test_equals_pixel_oracle(self, h, w, kind, k, tol, max_iter, seed):
+        img = gray(_gray_levels(kind, h, w, seed))
+        if k > len(np.unique(img.pixels)):
+            event("k above the distinct levels")
+            with pytest.raises(ValueError, match="insufficient distinct pixels"):
+                pixel_kmeans(img.pixels.reshape(-1, 1), k, max_iter, tol)
+            with pytest.raises(ValueError, match="insufficient distinct pixels"):
+                kmeans_segment(img, k, max_iter, tol)
+            return
+        labels, _, _ = pixel_kmeans(img.pixels.reshape(-1, 1), k, max_iter, tol)
+        want = LabelMask(labels.reshape(h, w), num_labels=k)
+        got = kmeans_segment(img, k, max_iter, tol)
+        assert got.num_labels == want.num_labels
+        assert got.labels.dtype == want.labels.dtype
+        assert np.array_equal(got.labels, want.labels)
+
+    @pytest.mark.parametrize("seed", [1, 4, 5])
+    def test_stop_test_at_an_exact_decrement(self, seed):
+        # a tol equal to one step's drop in squared error stops the pixel
+        # oracle only if the error is summed per pixel in raster order; a sum
+        # over the histogram rounds differently and stops a step early or late
+        rng = np.random.default_rng(seed)
+        h, w = rng.integers(5, 70, 2)
+        img = gray(rng.integers(0, 256, (h, w)))
+        k = int(rng.integers(2, 6))
+        _, _, history = pixel_kmeans(img.pixels.reshape(-1, 1), k, 100, 0.0)
+        for tol in -np.diff(history):
+            want = pixel_kmeans(img.pixels.reshape(-1, 1), k, 100, tol)[0].reshape(h, w)
+            assert np.array_equal(kmeans_segment(img, k, 100, tol).labels, want)
 
 
 def seed_mask(shape, seeds):
