@@ -5,7 +5,7 @@ self-localization, and steering-signal post-processing.
 """
 
 from .calibration import CameraModel, calibrate_from_image, estimate_distance, estimate_focal
-from .classifier import LinearModel, svm_predict, svm_score, svm_train
+from .classifier import LinearModel, svm_score_many, svm_train
 from .detector import (
     BandConfig,
     Detection,
@@ -17,7 +17,7 @@ from .detector import (
     plan_windows,
     threshold_boxes,
 )
-from .features import FeatureConfig, FeatureVector, HogParams, color_histogram, extract_features, hog, spatial_features
+from .features import FeatureConfig, FeatureVector, HogParams, extract_features, hog
 from .geometry import Contour, HoughLine, Lane, LaneConfig, detect_lane, find_contours, hough_lines, largest_rectangle
 from .mapping import GroundPatch, OccupancyMap, Pose, advance_pose, explore_step, localize, stitch_patch
 from .raster import Raster, read_pnm, sobel_magnitude, threshold_binary, to_grayscale, write_pnm

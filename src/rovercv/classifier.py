@@ -99,16 +99,6 @@ def svm_score_many(model: LinearModel, X) -> np.ndarray:
     return Z @ model.weights + model.bias
 
 
-def svm_score(model: LinearModel, x) -> float:
-    """Signed margin of one feature vector."""
-    return float(svm_score_many(model, [x])[0])
-
-
-def svm_predict(model: LinearModel, x) -> int:
-    """+1 (car) when the score is positive, else -1 (non-car)."""
-    return 1 if svm_score(model, x) > 0 else -1
-
-
 def model_to_dict(model: LinearModel) -> dict:
     return {
         "weights": model.weights.tolist(),

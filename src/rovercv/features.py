@@ -4,6 +4,7 @@ histograms, per-channel color histograms, and downsampled raw pixels.
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -32,7 +33,12 @@ class FeatureConfig:
     hog: HogParams = field(default_factory=HogParams)
     hist_bins: int = 32
     spatial_px: int = 32
-    patch_px: int = 64
+    # the side of a training patch, which detection rescales every window to
+    patch_px: ClassVar[int] = 64
+
+    def __post_init__(self):
+        _require_int("hist_bins", self.hist_bins, 1)
+        _require_int("spatial_px", self.spatial_px, 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,18 +144,6 @@ def _color_counts(pixels: np.ndarray, cell_h: int, cell_w: int, bins: int) -> np
     return np.bincount(key.ravel(), minlength=offset.size * bins).reshape(ncy, ncx, 3, bins)
 
 
-def color_histogram(patch: Raster, bins: int = 32) -> np.ndarray:
-    """Per-channel intensity counts over [0, 255], concatenated R, G, B."""
-    if patch.channels != 3:
-        raise ValueError("expected an RGB raster")
-    return _color_counts(patch.pixels, patch.height, patch.width, bins).reshape(-1).astype(np.float64)
-
-
-def spatial_features(patch: Raster, size: int = 32) -> np.ndarray:
-    """Bilinear thumbnail flattened row-major with channels interleaved."""
-    return _resize_bilinear(patch.pixels, size, size).reshape(-1)
-
-
 def feature_layout(cfg: FeatureConfig) -> dict:
     cells = cfg.patch_px // cfg.hog.cell_px
     nb = cells - cfg.hog.block_cells + 1
@@ -163,10 +157,6 @@ def feature_layout(cfg: FeatureConfig) -> dict:
         "color_hist": (hog_len, hog_len + hist_len),
         "spatial": (hog_len + hist_len, hog_len + hist_len + spatial_len),
     }
-
-
-def feature_length(cfg: FeatureConfig) -> int:
-    return feature_layout(cfg)["spatial"][1]
 
 
 def window_features(img: Raster, grids, ny: int, nx: int, step: int,

@@ -4,6 +4,7 @@ detection pipeline.
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -50,7 +51,8 @@ class LaneConfig:
     blur_passes: int = 1
     edge_threshold: int = 60
     min_votes: int = 30
-    horizontal_margin_deg: float = 10.0
+    # a boundary line is at least this many degrees off horizontal
+    horizontal_margin_deg: ClassVar[float] = 10.0
 
     def __post_init__(self):
         if not 0 <= self.horizon_frac <= 1:
@@ -58,24 +60,25 @@ class LaneConfig:
         if not 0 < self.top_width_frac < math.inf:
             raise ValueError("top_width_frac must be a finite number above 0, "
                              f"got {self.top_width_frac!r}")
-        if not 0 <= self.horizontal_margin_deg < 90:
-            raise ValueError("horizontal_margin_deg must be a finite angle in [0, 90), "
-                             f"got {self.horizontal_margin_deg!r}")
         _require_int("blur_passes", self.blur_passes, 0)
         _require_int("edge_threshold", self.edge_threshold, 0, 255)
         _require_int("min_votes", self.min_votes, 1)
 
 
-def _rho_bins(xs, ys, theta_deg: float, rho_res: float, offs: int):
+# The accumulator has one theta column per degree of the half turn and one
+# row per pixel of rho.
+_N_THETA = 180
+
+
+def _rho_bins(xs, ys, theta_deg: float, offs: int):
     """Accumulator row of every pixel in the theta column at ``theta_deg``.
 
     Computed in place to save N-sized temporaries; each step rounds exactly
-    as rint((xs*cos + ys*sin) / rho_res) does.
+    as rint(xs*cos + ys*sin) does.
     """
     theta = np.deg2rad(theta_deg)
     rho = xs * np.cos(theta)
     rho += ys * np.sin(theta)
-    rho /= rho_res
     bins = np.rint(rho, out=rho).astype(np.int64)
     bins += offs
     return bins
@@ -108,7 +111,7 @@ def _peaks(acc: np.ndarray, min_votes: int, cols: np.ndarray, seeds: np.ndarray)
 class _Votes:
     """One block's votes: the on-pixels (``xy``: float rows x, y; ``terms``:
     int64 rows x, y, x^2, y^2, xy) and, per theta column ``cols`` of the block
-    (ascending, out of ``n_theta``), how many of them vote in each rho bin or
+    (ascending, one per degree), how many of them vote in each rho bin or
     below (``ends``: the accumulator summed down its rows) and their ids sorted
     stably by rho bin, so row-major within a bin (``order``: one run of N ids
     per column, concatenated). ``diag`` bounds every pixel's distance from the
@@ -119,9 +122,6 @@ class _Votes:
     cols: np.ndarray
     ends: np.ndarray
     order: np.ndarray
-    n_theta: int
-    theta_res: float
-    rho_res: float
     offs: int
     diag: float
     c_max: int
@@ -146,17 +146,17 @@ def _band_spans(votes: _Votes, seed_col, rho, theta_deg):
     above rounding error. Since rint(v) lies in [ceil(v - 0.5), floor(v + 0.5)],
     the bins of that interval cover the band.
     """
-    near = (seed_col[:, None] + np.array([-1, 0, 1])) % votes.n_theta
-    d = theta_deg[:, None] - near * votes.theta_res
+    near = (seed_col[:, None] + np.array([-1, 0, 1])) % _N_THETA
+    d = theta_deg[:, None] - near
     d = np.where(d > 90.0, d - 180.0, np.where(d < -90.0, d + 180.0, d))
     k = np.arange(len(near))
     j = np.argmin(np.abs(d), axis=1)
     col, dtheta = near[k, j], np.abs(d[k, j])
-    center = np.where(np.abs(theta_deg - col * votes.theta_res) > 90.0, -rho, rho)
+    center = np.where(np.abs(theta_deg - col) > 90.0, -rho, rho)
     slack = 0.5 + votes.diag * np.deg2rad(dtheta) + 1e-9 * (1.0 + votes.diag)
     top = len(votes.ends) - 1
-    lo = np.clip(np.ceil((center - slack) / votes.rho_res - 0.5) + votes.offs, 0, top)
-    hi = np.clip(np.floor((center + slack) / votes.rho_res + 0.5) + votes.offs, 0, top)
+    lo = np.clip(np.ceil(center - slack - 0.5) + votes.offs, 0, top)
+    hi = np.clip(np.floor(center + slack + 0.5) + votes.offs, 0, top)
     return votes.span(col, lo.astype(np.int64), hi.astype(np.int64))
 
 
@@ -274,7 +274,7 @@ def _refine(votes: _Votes, cols, rows):
     return rho, theta_deg, count
 
 
-def _seed_columns(n_theta: int, theta_res: float, theta_range_deg) -> np.ndarray:
+def _seed_columns(theta_range_deg) -> np.ndarray:
     """Whether each theta column's angle lies in [lo, hi) modulo 180 degrees."""
     lo, hi = (float(v) for v in theta_range_deg)
     if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi <= lo + 180):
@@ -283,13 +283,14 @@ def _seed_columns(n_theta: int, theta_res: float, theta_range_deg) -> np.ndarray
     # hi = lo + 180 rounded can leave hi - lo a little above 180
     width = hi - lo
     if width >= 180:
-        return np.ones(n_theta, dtype=bool)
-    return (np.arange(n_theta) * theta_res - lo) % 180.0 < width
+        return np.ones(_N_THETA, dtype=bool)
+    return (np.arange(_N_THETA) - lo) % 180.0 < width
 
 
-def hough_lines(edges: Raster, rho_res: float = 1.0, theta_res: float = 1.0,
-                min_votes: int = 1, *, theta_range_deg=(0.0, 180.0)) -> list:
+def hough_lines(edges: Raster, min_votes: int = 1, *, theta_range_deg=(0.0, 180.0)) -> list:
     """Accumulate (rho, theta) votes for on-pixels and return the peak lines.
+
+    The accumulator's cells are 1 px of rho by 1 degree of theta.
 
     Peaks are 8-neighborhood local maxima of the accumulator (equal-valued
     neighbors resolved in favor of the smaller (theta, rho) cell), refined by a
@@ -324,17 +325,11 @@ def hough_lines(edges: Raster, rho_res: float = 1.0, theta_res: float = 1.0,
     """
     if edges.channels != 1:
         raise ValueError("expected a grayscale raster")
-    if not (np.isfinite(rho_res) and rho_res > 0):
-        raise ValueError(f"rho_res must be a positive number, got {rho_res!r}")
-    if not 0 < theta_res <= 180:
-        raise ValueError(f"theta_res must lie in (0, 180], got {theta_res!r}")
-    if min_votes < 1:
-        raise ValueError(f"min_votes must be at least 1, got {min_votes!r}")
+    _require_int("min_votes", min_votes, 1)
     ys, xs = np.nonzero(edges.pixels)
-    n_theta = int(round(180.0 / theta_res))
-    seeds = _seed_columns(n_theta, theta_res, theta_range_deg)
+    seeds = _seed_columns(theta_range_deg)
     diag = float(np.hypot(edges.width - 1, edges.height - 1))
-    offs = int(np.ceil(diag / rho_res))
+    offs = int(np.ceil(diag))
     if len(xs) == 0 or not seeds.any():
         return []
 
@@ -352,23 +347,22 @@ def hough_lines(edges: Raster, rho_res: float = 1.0, theta_res: float = 1.0,
     # frames, parts of 2N left the heap larger, and parts of N/2 cost more
     # calls than they saved.
     per_col = n * np.dtype(order_dtype).itemsize + n_rows * 4
-    block = max(1, 2 * n_rows * n_theta * 4 // per_col - 2)
+    block = max(1, 2 * n_rows * _N_THETA * 4 // per_col - 2)
     seed_cols = np.flatnonzero(seeds)
     lines = []
     for a in range(0, len(seed_cols), block):
         in_block = seed_cols[a:a + block]
-        cols = np.unique((in_block[:, None] + np.array([-1, 0, 1])) % n_theta)
+        cols = np.unique((in_block[:, None] + np.array([-1, 0, 1])) % _N_THETA)
         acc = np.empty((n_rows, len(cols)), dtype=np.int32)
         order = np.empty((len(cols), n), dtype=order_dtype)
         for j, ti in enumerate(cols):
-            bins = _rho_bins(*xy, ti * theta_res, rho_res, offs)
+            bins = _rho_bins(*xy, ti, offs)
             acc[:, j] = np.bincount(bins, minlength=n_rows)
             order[j] = np.argsort(bins.astype(bin_dtype), kind="stable")
         del bins
         rows, peak_cols = _peaks(acc, min_votes, cols, np.isin(cols, in_block))
-        votes = _Votes(xy, terms, cols, np.cumsum(acc, axis=0, out=acc), order.ravel(),
-                       n_theta, theta_res, rho_res, offs, diag,
-                       max(edges.width, edges.height) - 1)
+        votes = _Votes(xy, terms, cols, np.cumsum(acc, axis=0, out=acc), order.ravel(), offs,
+                       diag, max(edges.width, edges.height) - 1)
         rho, theta_deg, count = _refine(votes, peak_cols, rows)
         del acc, order, votes
         lines += [HoughLine(rho=float(r), theta_deg=float(t), votes=int(v))
@@ -488,20 +482,23 @@ def _enclosed_area(comp: np.ndarray) -> int:
 # outlines are texture or noise: on a noisy shot whose card outline breaks up,
 # one of them would otherwise be measured as the reference.
 MIN_RECTANGLE_SHARE = 0.01
+# A rectangle's outline and the holes it encloses fill at least this share of
+# its bbox.
+MIN_RECTANGLE_FILL = 0.85
 
 
-def largest_rectangle(img: Raster, edge_threshold: int = 60, min_fill: float = 0.85,
-                      blur_passes: int = 0) -> Contour:
+def largest_rectangle(img: Raster, edge_threshold: int = 60) -> Contour:
     """Find the biggest solidly rectangular shape in a calibration scene.
 
     Edge map -> contours; contours whose bbox covers less than
     MIN_RECTANGLE_SHARE of the frame are skipped, the rest are ranked by the
-    area they enclose, and the first whose enclosed area fills >= min_fill of
-    its bbox wins; with none, ValueError("no rectangle found"). Blurring is off
-    by default: the calibration shot is high contrast, and blur widens the
-    edge band, biasing the measured pixel extent.
+    area they enclose, and the first whose enclosed area fills at least
+    MIN_RECTANGLE_FILL of its bbox wins; with none, ValueError("no rectangle
+    found"). The edges come from the unblurred gray image: the calibration
+    shot is high contrast, and blur widens the edge band, biasing the
+    measured pixel extent.
     """
-    edges = threshold_binary(sobel_magnitude(blurred_gray(img, blur_passes)), edge_threshold)
+    edges = threshold_binary(sobel_magnitude(blurred_gray(img, 0)), edge_threshold)
     labels, n = label_components(edges.pixels > 0, connectivity=8)
     ranked = []
     for c in _contours(labels, n):
@@ -513,7 +510,7 @@ def largest_rectangle(img: Raster, edge_threshold: int = 60, min_fill: float = 0
     ranked.sort(key=lambda item: -item[0])
     for enclosed, c in ranked:
         x, y, w, h = c.bbox
-        if enclosed / (w * h) >= min_fill:
+        if enclosed / (w * h) >= MIN_RECTANGLE_FILL:
             return c
     raise ValueError("no rectangle found")
 

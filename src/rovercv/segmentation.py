@@ -3,7 +3,6 @@ marker-based watershed flooding behind one ``segment_floor`` entry point.
 """
 
 import heapq
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +21,7 @@ class LabelMask:
         lab = np.asarray(self.labels)
         if lab.ndim != 2:
             raise ValueError("labels must be a 2-D grid")
-        if self.num_labels < 1:
-            raise ValueError("num_labels must be positive")
+        _require_int("num_labels", self.num_labels, 1)
         if not _whole_in_range(lab, 0, self.num_labels - 1):
             raise ValueError("labels must be whole numbers in [0, num_labels)")
         object.__setattr__(self, "labels", lab.astype(np.int32))
@@ -55,19 +53,10 @@ class WatershedResult:
 class SegmentConfig:
     blur_passes: int = 1
     kmeans_k: int = 2
-    kmeans_max_iter: int = 100
-    kmeans_tol: float = 1e-4
-    marker_dist_frac: float = 0.5
 
     def __post_init__(self):
         _require_int("blur_passes", self.blur_passes, 0)
         _require_int("kmeans_k", self.kmeans_k, 1)
-        _require_int("kmeans_max_iter", self.kmeans_max_iter, 1)
-        if not 0 <= self.kmeans_tol < math.inf:
-            raise ValueError("kmeans_tol must be a finite number at least 0, "
-                             f"got {self.kmeans_tol!r}")
-        if not 0 <= self.marker_dist_frac <= 1:
-            raise ValueError(f"marker_dist_frac must lie in [0, 1], got {self.marker_dist_frac!r}")
 
 
 def otsu_from_histogram(hist) -> OtsuResult:
@@ -232,6 +221,11 @@ def _distance_to_outside(region: np.ndarray) -> np.ndarray:
     return dist
 
 
+# A derived watershed seed holds the cells of its side at least this fraction
+# of the side's largest distance from the other side.
+MARKER_DIST_FRAC = 0.5
+
+
 def _derive_markers(gray: Raster, dist_frac: float) -> LabelMask:
     """Seed regions from the cores (distance-transform peaks) of the Otsu split:
     label 1 on the core of the at/above-threshold side, label 2 on the other's.
@@ -265,10 +259,10 @@ def segment_floor(img: Raster, method: str, cfg: SegmentConfig = SegmentConfig()
         t = otsu_threshold(gray).threshold
         labels = (gray.pixels >= t).astype(np.int32)
     elif method == "kmeans":
-        labels = kmeans_segment(gray, cfg.kmeans_k, cfg.kmeans_max_iter, cfg.kmeans_tol).labels
+        labels = kmeans_segment(gray, cfg.kmeans_k).labels
     elif method == "watershed":
         if markers is None:
-            markers = _derive_markers(gray, cfg.marker_dist_frac)
+            markers = _derive_markers(gray, MARKER_DIST_FRAC)
         labels = watershed_segment(sobel_magnitude(gray), markers).regions.labels
     else:
         raise ValueError(f"unknown segmentation method {method!r}")

@@ -295,7 +295,7 @@ def float_tls_line(px, py):
     return float(rho), float(theta_deg)
 
 
-def _refine_peak(xs, ys, rho_bin: float, theta_bin_deg: float, rho_res: float, fit):
+def _refine_peak(xs, ys, rho_bin: float, theta_bin_deg: float, fit):
     """Polish a peak: refit the supporting pixels, recollect the half-pixel band,
     and repeat a fixed number of rounds.
 
@@ -304,7 +304,7 @@ def _refine_peak(xs, ys, rho_bin: float, theta_bin_deg: float, rho_res: float, f
     so the fit and its support are iterated to a (near) fixed point.
     """
     theta = np.deg2rad(theta_bin_deg)
-    r = np.rint((xs * np.cos(theta) + ys * np.sin(theta)) / rho_res) * rho_res
+    r = np.rint(xs * np.cos(theta) + ys * np.sin(theta))
     sel = r == rho_bin
     rho, theta_deg = fit(xs[sel], ys[sel])
     for _ in range(3):
@@ -316,11 +316,11 @@ def _refine_peak(xs, ys, rho_bin: float, theta_bin_deg: float, rho_res: float, f
     return rho, theta_deg
 
 
-def per_peak_hough_lines(edges, rho_res=1.0, theta_res=1.0, min_votes=1, fit=_tls_line,
-                         theta_range_deg=(0.0, 180.0)):
+def per_peak_hough_lines(edges, min_votes=1, fit=_tls_line, theta_range_deg=(0.0, 180.0)):
     """Hough lines refined one peak at a time, each refit scanning every edge pixel.
 
-    Peaks are 8-neighborhood local maxima of the whole accumulator (equal-valued
+    Votes go into cells of 1 px of rho by 1 degree of theta. Peaks are
+    8-neighborhood local maxima of the whole accumulator (equal-valued
     neighbors resolved in favor of the smaller (theta, rho) cell). Those whose
     theta column's angle lies outside ``theta_range_deg`` = [lo, hi) modulo 180
     degrees are dropped; the rest are refined by ``_refine_peak`` with ``fit``
@@ -332,18 +332,17 @@ def per_peak_hough_lines(edges, rho_res=1.0, theta_res=1.0, min_votes=1, fit=_tl
     if edges.channels != 1:
         raise ValueError("expected a grayscale raster")
     ys, xs = np.nonzero(edges.pixels)
-    n_theta = int(round(180.0 / theta_res))
     diag = float(np.hypot(edges.width - 1, edges.height - 1))
-    offs = int(np.ceil(diag / rho_res))
+    offs = int(np.ceil(diag))
     if len(xs) == 0:
         return []
 
-    acc = np.zeros((2 * offs + 1, n_theta), dtype=np.int64)
+    acc = np.zeros((2 * offs + 1, 180), dtype=np.int64)
     xs_f = xs.astype(np.float64)
     ys_f = ys.astype(np.float64)
-    for ti in range(n_theta):
-        theta = np.deg2rad(ti * theta_res)
-        r = np.rint((xs_f * np.cos(theta) + ys_f * np.sin(theta)) / rho_res).astype(np.int64) + offs
+    for ti in range(180):
+        theta = np.deg2rad(ti)
+        r = np.rint(xs_f * np.cos(theta) + ys_f * np.sin(theta)).astype(np.int64) + offs
         acc[:, ti] += np.bincount(r, minlength=2 * offs + 1)
 
     keep = acc >= min_votes
@@ -359,10 +358,9 @@ def per_peak_hough_lines(edges, rho_res=1.0, theta_res=1.0, min_votes=1, fit=_tl
 
     lines = []
     for r, t in zip(*np.nonzero(keep)):
-        if hi - lo < 180.0 and not (t * theta_res - lo) % 180.0 < hi - lo:
+        if hi - lo < 180.0 and not (t - lo) % 180.0 < hi - lo:
             continue
-        rho, theta_deg = _refine_peak(xs_f, ys_f, float((r - offs) * rho_res),
-                                      float(t * theta_res), rho_res, fit)
+        rho, theta_deg = _refine_peak(xs_f, ys_f, float(r - offs), float(t), fit)
         rad = np.deg2rad(theta_deg)
         band = np.abs(xs_f * np.cos(rad) + ys_f * np.sin(rad) - rho) <= 0.5
         votes = int(band.sum())

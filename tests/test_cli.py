@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -17,10 +18,11 @@ from scenes import (
     road_frame,
     write_replay,
 )
-from rovercv.cli import _draw_segment, _json_bytes, _lines, _read_features_csv, run
-from rovercv.features import FeatureConfig, extract_features
-from rovercv.geometry import LaneSide
-from rovercv.mapping import OccupancyMap, map_to_bytes
+from rovercv.cli import _build_parser, _draw_segment, _json_bytes, _lines, _read_features_csv, run
+from rovercv.detector import DetectorConfig
+from rovercv.features import FeatureConfig, HogParams, extract_features
+from rovercv.geometry import LaneConfig, LaneSide
+from rovercv.mapping import ExploreConfig, LocalizeConfig, OccupancyMap, map_to_bytes
 from rovercv.raster import Raster, load_pnm, save_pnm, write_pnm
 from rovercv.segmentation import LabelMask, SegmentConfig, segment_floor
 
@@ -507,6 +509,46 @@ def test_every_parser_key_accepted_from_config(tmp_path):
     out = tmp_path / "smoothed.csv"
     assert run(["--config", str(cfg), "smooth", str(src), "--out", str(out)]) == 0
     assert out.read_text() == "frame_id,angle_deg\nf0,3.0\n"
+
+
+# the subcommand and option dests that set each config field; a nested
+# config is set through the options of its own fields
+FIELD_OPTIONS = {
+    LaneConfig: {"horizon_frac": ("lanes", "horizon_frac"),
+                 "top_width_frac": ("lanes", "top_width_frac"),
+                 "blur_passes": ("lanes", "blur_passes"),
+                 "edge_threshold": ("lanes", "edge_threshold"),
+                 "min_votes": ("lanes", "min_votes")},
+    SegmentConfig: {"blur_passes": ("segment", "blur_passes"), "kmeans_k": ("segment", "k")},
+    FeatureConfig: {"hog": ("extract", "hog_cell", "hog_block_cells", "hog_bins",
+                            "hog_per_channel"),
+                    "hist_bins": ("extract", "hist_bins"),
+                    "spatial_px": ("extract", "spatial_px")},
+    HogParams: {"cell_px": ("extract", "hog_cell"), "block_cells": ("extract", "hog_block_cells"),
+                "bins": ("extract", "hog_bins"), "per_channel": ("extract", "hog_per_channel")},
+    LocalizeConfig: {"min_known": ("localize", "min_known"),
+                     "min_score": ("localize", "localize_min_score"),
+                     "min_overlap_frac": ("localize", "min_overlap_frac")},
+    DetectorConfig: {"min_score": ("detect", "min_score"),
+                     "frame_memory": ("detect", "frame_memory")},
+    ExploreConfig: {"method": ("map-build", "method"), "seg": ("map-build", "blur_passes"),
+                    "patch_width_cm": ("map-build", "patch_width_cm"),
+                    "patch_depth_cm": ("map-build", "patch_depth_cm"),
+                    "patch_offset_cm": ("map-build", "patch_offset_cm")},
+}
+
+
+@pytest.mark.parametrize("config", list(FIELD_OPTIONS), ids=lambda c: c.__name__)
+def test_every_config_field_set_by_an_option(config):
+    # a field that no option sets is a setting nothing uses: it belongs in a
+    # constant, not in the config
+    options = FIELD_OPTIONS[config]
+    assert [f.name for f in dataclasses.fields(config)] == list(options)
+    parser = _build_parser({})
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    for name, (command, *dests) in options.items():
+        have = {a.dest for a in commands[command]._actions}
+        assert set(dests) <= have, (name, command, dests)
 
 
 @pytest.mark.parametrize("key", ["out", "annotate", "markers"])

@@ -24,7 +24,7 @@ from rovercv.detector import (
     _band_features,
     _scaled_band,
 )
-from rovercv.features import FeatureConfig, HogParams, extract_features, feature_length
+from rovercv.features import FeatureConfig, HogParams, extract_features, feature_layout
 from rovercv.raster import Raster
 
 TEST_BANDS = (BandConfig(32, 96, 64, 16), BandConfig(0, 128, 128, 32))
@@ -46,8 +46,9 @@ def window_rows(frame, plan):
 
 
 def random_model(rng):
-    return LinearModel(weights=rng.normal(size=feature_length(FeatureConfig())), bias=0.0,
-                       feat_mean=np.zeros(1), feat_std=np.ones(1), lambda_=1e-4, epochs=1, seed=0)
+    return LinearModel(weights=rng.normal(size=feature_layout(FeatureConfig())["spatial"][1]),
+                       bias=0.0, feat_mean=np.zeros(1), feat_std=np.ones(1), lambda_=1e-4,
+                       epochs=1, seed=0)
 
 
 def iou(a, b):
@@ -370,7 +371,7 @@ class TestDetection:
         rng = np.random.default_rng(39)
         plan = plan_windows(1280, 720, DEFAULT_BANDS)
         frame = noise_frame(rng, w=1280, h=720)
-        all_rows = plan.total_windows * feature_length(plan.features) * 8
+        all_rows = plan.total_windows * feature_layout(plan.features)["spatial"][1] * 8
         tracemalloc.start()
         try:
             detect_cars(frame, car_model, plan)

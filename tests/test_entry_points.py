@@ -7,11 +7,15 @@ import pytest
 from rovercv.calibration import estimate_focal
 from rovercv.classifier import svm_train
 from rovercv.detector import DetectorConfig
-from rovercv.features import HogParams
+from rovercv.features import FeatureConfig, HogParams
 from rovercv.geometry import LaneConfig
 from rovercv.mapping import GroundPatch, LocalizeConfig
 from rovercv.segmentation import LabelMask, SegmentConfig
 from rovercv.steering import AngleSeries, smooth_series
+
+
+def label_mask(num_labels):
+    return LabelMask(np.zeros((2, 2), dtype=np.int32), num_labels=num_labels)
 
 
 def _patch(width_cm=40.0, depth_cm=40.0, offset_cm=10.0):
@@ -39,8 +43,6 @@ _X, _Y = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 1.0], [3.0, 0.0]]), np.array([0
     (lambda v: LaneConfig(blur_passes=v), "blur_passes"),
     (lambda v: LaneConfig(edge_threshold=v), "edge_threshold"),
     (lambda v: LaneConfig(min_votes=v), "min_votes"),
-    (lambda v: SegmentConfig(kmeans_tol=v), "kmeans_tol"),
-    (lambda v: SegmentConfig(marker_dist_frac=v), "marker_dist_frac"),
 ])
 def test_non_finite_input_raises_naming_the_field(make, field, value):
     with pytest.raises(ValueError, match=field):
@@ -57,10 +59,6 @@ def test_non_finite_input_raises_naming_the_field(make, field, value):
     (lambda: LaneConfig(edge_threshold=60.0), "edge_threshold"),
     (lambda: LaneConfig(min_votes=0), "min_votes"),
     (lambda: LaneConfig(min_votes=False), "min_votes"),
-    (lambda: SegmentConfig(kmeans_max_iter=0), "kmeans_max_iter"),
-    (lambda: SegmentConfig(kmeans_tol=-1e-4), "kmeans_tol"),
-    (lambda: SegmentConfig(marker_dist_frac=-1.0), "marker_dist_frac"),
-    (lambda: SegmentConfig(marker_dist_frac=2.0), "marker_dist_frac"),
 ])
 def test_out_of_range_config_raises_naming_the_field(make, field):
     with pytest.raises(ValueError, match=f"^{field} must "):
@@ -73,13 +71,15 @@ def test_out_of_range_config_raises_naming_the_field(make, field):
     (LaneConfig, "min_votes", 1, math.inf),
     (SegmentConfig, "blur_passes", 0, math.inf),
     (SegmentConfig, "kmeans_k", 1, math.inf),
-    (SegmentConfig, "kmeans_max_iter", 1, math.inf),
     (DetectorConfig, "frame_memory", 1, math.inf),
     (HogParams, "cell_px", 2, math.inf),
     (HogParams, "bins", 2, math.inf),
     (HogParams, "block_cells", 1, math.inf),
+    (FeatureConfig, "hist_bins", 1, math.inf),
+    (FeatureConfig, "spatial_px", 1, math.inf),
     (LocalizeConfig, "min_known", 0, math.inf),
-], ids=lambda v: v.__name__ if isinstance(v, type) else None)
+    (label_mask, "num_labels", 1, math.inf),
+], ids=lambda v: v.__name__ if callable(v) else None)
 @pytest.mark.parametrize("bad", [
     lambda lo: lo - 1, lambda lo: lo + 0.5, lambda lo: float(lo), lambda lo: True,
     lambda lo: float("nan"), lambda lo: float("inf"),

@@ -4,15 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import area_average_downsample, naive_hog
-from rovercv.features import (
-    FeatureConfig,
-    HogParams,
-    color_histogram,
-    extract_features,
-    feature_length,
-    hog,
-    spatial_features,
-)
+from rovercv.features import FeatureConfig, HogParams, extract_features, hog
 from rovercv.raster import Raster
 
 
@@ -22,6 +14,13 @@ def gray(arr):
 
 def rgb(arr):
     return Raster(np.asarray(arr, dtype=np.uint8))
+
+
+def part(patch, name, cfg=FeatureConfig()):
+    """The ``name`` span of a 64x64 RGB patch's descriptor."""
+    fv = extract_features(patch, cfg)
+    start, stop = fv.layout[name]
+    return fv.values[start:stop]
 
 
 class TestHog:
@@ -72,45 +71,46 @@ class TestHog:
 
 class TestColorHistogram:
     def test_pure_red_constant(self):
-        patch = rgb(np.tile(np.array([255, 0, 0], np.uint8), (10, 10, 1)))
-        h = color_histogram(patch, bins=32)
+        patch = rgb(np.tile(np.array([255, 0, 0], np.uint8), (64, 64, 1)))
+        h = part(patch, "color_hist")
         r, g, b = h[:32], h[32:64], h[64:]
-        assert r[31] == 100 and r.sum() == 100
-        assert g[0] == 100 and b[0] == 100
+        assert r[31] == 4096 and r.sum() == 4096
+        assert g[0] == 4096 and b[0] == 4096
 
     def test_boundary_bins(self):
-        patch = rgb(np.tile(np.array([0, 255, 128], np.uint8), (2, 2, 1)))
-        h = color_histogram(patch, bins=32)
-        assert h[0] == 4          # value 0 -> first red bin
-        assert h[32 + 31] == 4    # value 255 -> last green bin
-        assert h[64 + 16] == 4    # value 128 -> bin 16 of blue
+        patch = rgb(np.tile(np.array([0, 255, 128], np.uint8), (64, 64, 1)))
+        h = part(patch, "color_hist")
+        assert h[0] == 4096          # value 0 -> first red bin
+        assert h[32 + 31] == 4096    # value 255 -> last green bin
+        assert h[64 + 16] == 4096    # value 128 -> bin 16 of blue
 
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2**32 - 1))
-    def test_per_channel_totals(self, w, h, seed):
+    @given(st.integers(1, 64), st.integers(0, 2**32 - 1))
+    def test_per_channel_totals(self, bins, seed):
         rng = np.random.default_rng(seed)
-        patch = rgb(rng.integers(0, 256, (h, w, 3)))
-        hist = color_histogram(patch, bins=32)
+        patch = rgb(rng.integers(0, 256, (64, 64, 3)))
+        hist = part(patch, "color_hist", FeatureConfig(hist_bins=bins))
+        assert len(hist) == 3 * bins
         for c in range(3):
-            assert hist[c * 32:(c + 1) * 32].sum() == w * h
+            assert hist[c * bins:(c + 1) * bins].sum() == 64 * 64
 
 
 class TestSpatialFeatures:
     def test_identity_flatten(self):
         rng = np.random.default_rng(5)
-        patch = rng.integers(0, 256, (32, 32, 3))
-        out = spatial_features(rgb(patch), size=32)
+        patch = rng.integers(0, 256, (64, 64, 3))
+        out = part(rgb(patch), "spatial", FeatureConfig(spatial_px=64))
         assert (out == patch.reshape(-1)).all()
 
     def test_constant_patch(self):
-        out = spatial_features(rgb(np.full((64, 64, 3), 201)), size=32)
+        out = part(rgb(np.full((64, 64, 3), 201)), "spatial")
         assert (out == 201.0).all()
         assert len(out) == 32 * 32 * 3
 
     def test_checkerboard_mean_close_to_area_average(self):
         yy, xx = np.mgrid[0:64, 0:64]
         board = np.where((xx // 4 + yy // 4) % 2 == 0, 255, 0)
-        out = spatial_features(gray(board), size=32)
+        out = part(rgb(np.repeat(board[..., None], 3, axis=2)), "spatial")
         oracle = area_average_downsample(board, 2)
         assert out.min() >= 0 and out.max() <= 255
         assert abs(out.mean() - oracle.mean()) <= 1.0
@@ -122,7 +122,6 @@ class TestExtractFeatures:
         patch = rgb(rng.integers(0, 256, (64, 64, 3)))
         fv = extract_features(patch)
         assert len(fv.values) == 1764 + 96 + 3072 == 4932
-        assert feature_length(FeatureConfig()) == 4932
 
     def test_deterministic(self):
         rng = np.random.default_rng(7)

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import convolve_at
-from rovercv.geometry import LaneConfig, detect_lane, largest_rectangle
+from rovercv.geometry import LaneConfig, detect_lane
 from rovercv.raster import (
     Raster,
     _resize_bilinear,
@@ -124,13 +124,11 @@ class TestBlurredGray:
      "blur_passes must be an integer at least 0, got -1"),
     (lambda img: segment_floor(img, "otsu", SegmentConfig(blur_passes=-3)),
      "blur_passes must be an integer at least 0, got -3"),
-    (lambda img: largest_rectangle(img, blur_passes=-1),
-     "blur passes must be non-negative, got -1"),
-], ids=["blurred_gray", "lanes", "segmentation", "calibration"])
+], ids=["blurred_gray", "lanes", "segmentation"])
 def test_negative_blur_passes_rejected(run, message):
-    # blurred_gray is the one blur of lanes, segmentation and calibration; the
-    # lane and segment configs reject the passes first, as they check every
-    # integer field
+    # blurred_gray is the one blur of lanes and segmentation; the lane and
+    # segment configs reject the passes first, as they check every integer
+    # field
     img = rgb(np.random.default_rng(3).integers(0, 256, (24, 32, 3)))
     with pytest.raises(ValueError, match=f"{message}$"):
         run(img)

@@ -14,6 +14,7 @@ from oracles import (
 from scenes import floor_box_scene, stain_scene
 from rovercv.raster import Raster, blurred_gray, sobel_magnitude
 from rovercv.segmentation import (
+    MARKER_DIST_FRAC,
     LabelMask,
     SegmentConfig,
     _derive_markers,
@@ -276,7 +277,7 @@ class TestWatershedMatchesHeapOracle:
     @pytest.mark.parametrize("scene", [floor_box_scene, stain_scene])
     def test_segmentation_fixtures(self, scene):
         gray_img = blurred_gray(scene()[0], SegmentConfig().blur_passes)
-        markers = _derive_markers(gray_img, SegmentConfig().marker_dist_frac)
+        markers = _derive_markers(gray_img, MARKER_DIST_FRAC)
         assert_matches_heap_oracle(sobel_magnitude(gray_img), markers)
 
 
@@ -284,7 +285,7 @@ def component_seeded_floor(img, cfg):
     """segment_floor's watershed mask, flooded from seeds numbered per core
     component (``component_markers``) and folded back to the two sides."""
     gray_img = blurred_gray(img, cfg.blur_passes)
-    markers, side = component_markers(gray_img, cfg.marker_dist_frac)
+    markers, side = component_markers(gray_img, MARKER_DIST_FRAC)
     labels = side[heap_watershed(sobel_magnitude(gray_img), markers).regions.labels]
     return (labels != labels[gray_img.height - 1, gray_img.width // 2]).astype(np.int32)
 
@@ -295,15 +296,14 @@ class TestSideSeeds:
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 20), st.integers(1, 20), st.sampled_from([2, 3, 16, 256]),
-           st.booleans(), st.integers(0, 2), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
-    @example(64, 96, 256, True, 1, 0.5, 0)  # RGB noise the size of a ground view
-    @example(12, 16, 2, False, 0, 0.5, 3)  # two-level plateaus, unblurred
-    @example(9, 9, 2, False, 0, 0.0, 5)  # every cell of each side a seed
-    def test_equals_per_component_seeds(self, h, w, levels, rgb, blur_passes, dist_frac, seed):
+           st.booleans(), st.integers(0, 2), st.integers(0, 2**32 - 1))
+    @example(64, 96, 256, True, 1, 0)  # RGB noise the size of a ground view
+    @example(12, 16, 2, False, 0, 3)  # two-level plateaus, unblurred
+    def test_equals_per_component_seeds(self, h, w, levels, rgb, blur_passes, seed):
         rng = np.random.default_rng(seed)
         px = rng.integers(0, levels, size=(h, w, 3) if rgb else (h, w)) * (255 // (levels - 1))
         img = Raster(px.astype(np.uint8))
-        cfg = SegmentConfig(blur_passes=blur_passes, marker_dist_frac=dist_frac)
+        cfg = SegmentConfig(blur_passes=blur_passes)
         try:
             want = component_seeded_floor(img, cfg)
         except ValueError as exc:
